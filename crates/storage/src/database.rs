@@ -665,7 +665,7 @@ impl Database {
             }
             let mut new_row = row.clone();
             for (pos, e) in &assignments {
-                new_row[*pos] = e.eval(row)?;
+                new_row[*pos] = e.eval(row)?.into_owned();
             }
             planned.push((tid, new_row));
         }
@@ -859,7 +859,7 @@ fn eval_standalone(e: &audex_sql::Expr) -> Result<Value, StorageError> {
             // Fall back to the compiled evaluator with an empty scope.
             let scope = Scope::new(Vec::new())?;
             let compiled = compile(other, &scope)?;
-            compiled.eval(&[])
+            Ok(compiled.eval::<[Value]>(&[])?.into_owned())
         }
     }
 }
@@ -898,9 +898,8 @@ impl<'a> RelationProvider for DatabaseAt<'a> {
         // only the reconstruction behind the final closure differs.
 
         // Backlog relation `b-T`?
-        let lower = name.normalized();
-        if let Some(base) = lower.strip_prefix("b-") {
-            let base_ident = Ident::new(base);
+        if name.value.get(..2).is_some_and(|p| p.eq_ignore_ascii_case("b-")) {
+            let base_ident = Ident::new(name.value[2..].to_ascii_lowercase());
             if let Some(v) = self.db.versions.get(&base_ident) {
                 self.db.fault_on_scan(&base_ident)?;
                 self.db.fault_on_replay(&base_ident, self.ts)?;

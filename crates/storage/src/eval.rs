@@ -7,6 +7,7 @@
 
 use audex_sql::ast::{BinOp, ColumnRef, Expr, Literal, UnaryOp};
 use audex_sql::Ident;
+use std::borrow::Cow;
 
 use crate::error::StorageError;
 use crate::schema::Schema;
@@ -17,7 +18,8 @@ use crate::value::{ArithOp, Truth, Value};
 pub struct Scope {
     bindings: Vec<(Ident, Schema)>,
     offsets: Vec<usize>,
-    width: usize,
+    /// Flat slot → `(binding index, column index)`.
+    slots: Vec<(usize, usize)>,
 }
 
 impl Scope {
@@ -28,20 +30,23 @@ impl Scope {
                 return Err(StorageError::DuplicateBinding(name.clone()));
             }
         }
-        let mut offsets = Vec::with_capacity(bindings.len());
-        let mut width = 0;
-        for (_, schema) in &bindings {
-            offsets.push(width);
-            width += schema.len();
-        }
-        Ok(Scope { bindings, offsets, width })
+        Ok(Scope::laid_out(bindings))
     }
 
     /// A scope over a single table (one binding cannot collide, so this
     /// bypasses the duplicate check rather than unwrap its result).
     pub fn single(name: Ident, schema: Schema) -> Self {
-        let width = schema.len();
-        Scope { bindings: vec![(name, schema)], offsets: vec![0], width }
+        Scope::laid_out(vec![(name, schema)])
+    }
+
+    fn laid_out(bindings: Vec<(Ident, Schema)>) -> Self {
+        let mut offsets = Vec::with_capacity(bindings.len());
+        let mut slots = Vec::new();
+        for (bi, (_, schema)) in bindings.iter().enumerate() {
+            offsets.push(slots.len());
+            slots.extend((0..schema.len()).map(|ci| (bi, ci)));
+        }
+        Scope { bindings, offsets, slots }
     }
 
     /// Number of bindings.
@@ -51,7 +56,7 @@ impl Scope {
 
     /// Total flat-row width.
     pub fn width(&self) -> usize {
-        self.width
+        self.slots.len()
     }
 
     /// The bindings in order.
@@ -62,6 +67,16 @@ impl Scope {
     /// Flat-slot offset of binding `idx`.
     pub fn offset(&self, idx: usize) -> usize {
         self.offsets[idx]
+    }
+
+    /// `(binding index, column index)` of flat slot `slot`.
+    pub fn locate(&self, slot: usize) -> (usize, usize) {
+        self.slots[slot]
+    }
+
+    /// Index of the binding that owns flat slot `slot`.
+    pub fn binding_of(&self, slot: usize) -> usize {
+        self.slots[slot].0
     }
 
     /// Index of the binding named `name`.
@@ -96,6 +111,20 @@ impl Scope {
                 found.ok_or_else(|| StorageError::UnknownColumn(col.column.value.clone()))
             }
         }
+    }
+}
+
+/// What an expression is evaluated over: flat slot → value. Anything that
+/// is a slice of values is one; the executor's index tuples are another, so
+/// a predicate can test base rows in place without a flat row being built.
+pub trait SlotView {
+    /// The value in flat slot `slot`.
+    fn slot(&self, slot: usize) -> &Value;
+}
+
+impl<T: AsRef<[Value]> + ?Sized> SlotView for T {
+    fn slot(&self, slot: usize) -> &Value {
+        &self.as_ref()[slot]
     }
 }
 
@@ -216,13 +245,27 @@ pub fn literal_value(l: &Literal) -> Value {
 }
 
 impl CompiledExpr {
-    /// Evaluates to a value over a flat row.
-    pub fn eval(&self, row: &[Value]) -> Result<Value, StorageError> {
+    /// Evaluates to a value over a flat row. Slot loads and constants are
+    /// borrowed — the operands of nearly every comparison, so a filter
+    /// allocates and copies nothing; only computed values are owned.
+    #[inline]
+    pub fn eval<'a, V: SlotView + ?Sized>(
+        &'a self,
+        row: &'a V,
+    ) -> Result<Cow<'a, Value>, StorageError> {
+        match self {
+            CompiledExpr::Slot(i) => Ok(Cow::Borrowed(row.slot(*i))),
+            CompiledExpr::Const(v) => Ok(Cow::Borrowed(v)),
+            computed => computed.compute(row).map(Cow::Owned),
+        }
+    }
+
+    fn compute<V: SlotView + ?Sized>(&self, row: &V) -> Result<Value, StorageError> {
         Ok(match self {
-            CompiledExpr::Slot(i) => row[*i].clone(),
-            CompiledExpr::Const(v) => v.clone(),
+            // `eval` answers these by reference and never comes here.
+            CompiledExpr::Slot(_) | CompiledExpr::Const(_) => self.eval(row)?.into_owned(),
             CompiledExpr::Not(e) => truth_to_value(e.truth(row)?.not()),
-            CompiledExpr::Neg(e) => match e.eval(row)? {
+            CompiledExpr::Neg(e) => match e.eval(row)?.as_ref() {
                 Value::Null => Value::Null,
                 Value::Int(v) => {
                     Value::Int(v.checked_neg().ok_or(StorageError::ArithmeticOverflow)?)
@@ -243,12 +286,12 @@ impl CompiledExpr {
             | CompiledExpr::InList { .. }
             | CompiledExpr::Between { .. }
             | CompiledExpr::IsNull { .. } => truth_to_value(self.truth(row)?),
-            CompiledExpr::Arith(op, l, r) => l.eval(row)?.arith(*op, &r.eval(row)?)?,
+            CompiledExpr::Arith(op, l, r) => l.eval(row)?.arith(*op, r.eval(row)?.as_ref())?,
         })
     }
 
     /// Evaluates to three-valued truth over a flat row.
-    pub fn truth(&self, row: &[Value]) -> Result<Truth, StorageError> {
+    pub fn truth<V: SlotView + ?Sized>(&self, row: &V) -> Result<Truth, StorageError> {
         Ok(match self {
             CompiledExpr::And(l, r) => {
                 // Short circuit: False AND _ = False without evaluating _.
@@ -285,7 +328,7 @@ impl CompiledExpr {
                 }
             }
             CompiledExpr::Like { expr, pattern, negated } => {
-                let t = expr.eval(row)?.sql_like(&pattern.eval(row)?);
+                let t = expr.eval(row)?.sql_like(pattern.eval(row)?.as_ref());
                 if *negated {
                     t.not()
                 } else {
@@ -296,7 +339,7 @@ impl CompiledExpr {
                 let v = expr.eval(row)?;
                 let mut acc = Truth::False;
                 for cand in list {
-                    acc = acc.or(v.sql_eq(&cand.eval(row)?));
+                    acc = acc.or(v.sql_eq(cand.eval(row)?.as_ref()));
                     if acc == Truth::True {
                         break;
                     }
@@ -309,11 +352,11 @@ impl CompiledExpr {
             }
             CompiledExpr::Between { expr, low, high, negated } => {
                 let v = expr.eval(row)?;
-                let ge = match v.sql_cmp(&low.eval(row)?) {
+                let ge = match v.sql_cmp(low.eval(row)?.as_ref()) {
                     None => Truth::Unknown,
                     Some(o) => Truth::from_bool(o != std::cmp::Ordering::Less),
                 };
-                let le = match v.sql_cmp(&high.eval(row)?) {
+                let le = match v.sql_cmp(high.eval(row)?.as_ref()) {
                     None => Truth::Unknown,
                     Some(o) => Truth::from_bool(o != std::cmp::Ordering::Greater),
                 };
@@ -332,9 +375,9 @@ impl CompiledExpr {
                     t
                 }
             }
-            other => match other.eval(row)? {
+            other => match other.eval(row)?.as_ref() {
                 Value::Null => Truth::Unknown,
-                Value::Bool(b) => Truth::from_bool(b),
+                Value::Bool(b) => Truth::from_bool(*b),
                 v => {
                     return Err(StorageError::TypeMismatch {
                         operation: "WHERE".into(),

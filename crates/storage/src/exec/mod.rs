@@ -25,7 +25,7 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use crate::error::StorageError;
-use crate::eval::{compile, CompiledExpr, Scope};
+use crate::eval::{compile, CompiledExpr, Scope, SlotView};
 use crate::table::{Relation, Row, Tid};
 use crate::value::Value;
 
@@ -102,7 +102,6 @@ pub fn execute_query(
 pub struct PreparedQuery {
     scope: Scope,
     relations: Vec<Arc<Relation>>,
-    bindings: Vec<Ident>,
     conjuncts: Vec<PlannedConjunct>,
     projection: Projection,
     distinct: bool,
@@ -124,13 +123,10 @@ impl PreparedQuery {
     /// Resolves relations, compiles predicates, and plans conjuncts.
     pub fn prepare(provider: &dyn RelationProvider, query: &Query) -> Result<Self, StorageError> {
         let mut relations = Vec::with_capacity(query.from.len());
-        let mut bindings = Vec::with_capacity(query.from.len());
         let mut scope_entries = Vec::with_capacity(query.from.len());
         for tref in &query.from {
             let rel = provider.relation(&tref.name)?;
-            let binding = tref.binding().clone();
-            scope_entries.push((binding.clone(), rel.schema.clone()));
-            bindings.push(binding);
+            scope_entries.push((tref.binding().clone(), rel.schema.clone()));
             relations.push(rel);
         }
         let scope = Scope::new(scope_entries)?;
@@ -167,7 +163,6 @@ impl PreparedQuery {
         Ok(PreparedQuery {
             scope,
             relations,
-            bindings,
             conjuncts,
             projection: Projection { items },
             distinct: query.distinct,
@@ -182,17 +177,12 @@ impl PreparedQuery {
         for item in &self.projection.items {
             match item {
                 ProjItem::All => {
-                    for (bi, (_, schema)) in self.scope.bindings().iter().enumerate() {
-                        let _ = bi;
-                        for (name, _) in schema.iter() {
-                            out.push(name.value.clone());
-                        }
+                    for (_, schema) in self.scope.bindings() {
+                        out.extend(schema.iter().map(|(name, _)| name.value.clone()));
                     }
                 }
                 ProjItem::AllOf(bi) => {
-                    for (name, _) in self.scope.bindings()[*bi].1.iter() {
-                        out.push(name.value.clone());
-                    }
+                    out.extend(self.scope.bindings()[*bi].1.iter().map(|(n, _)| n.value.clone()));
                 }
                 ProjItem::Expr { name, .. } => out.push(name.clone()),
             }
@@ -201,47 +191,43 @@ impl PreparedQuery {
     }
 
     /// Runs the prepared query.
+    ///
+    /// The working set holds row *indices* into the provider's relations;
+    /// predicates read base rows in place through [`Combo`], and values are
+    /// copied only for the combinations that reach the result.
     pub fn run(&self, strategy: JoinStrategy) -> Result<ResultSet, StorageError> {
-        let width = self.scope.width();
-        let n = self.relations.len();
-
-        // Working set: flat rows (width slots, unfilled = Null) + lineage.
-        let mut acc: Vec<(Row, LineageRow)> = vec![(vec![Value::Null; width], Vec::new())];
+        let mut acc = Combos { arity: 0, len: 1, idx: Vec::new() };
         let mut applied = vec![false; self.conjuncts.len()];
 
-        for bi in 0..n {
+        for bi in 0..self.relations.len() {
             // Single-binding filters push below the join.
-            let filter_idx: Vec<usize> = self
-                .conjuncts
-                .iter()
-                .enumerate()
-                .filter(|(ci, c)| {
-                    !applied[*ci]
-                        && c.class == ConjunctClass::SingleBinding
-                        && c.bindings == vec![bi]
-                })
-                .map(|(ci, _)| ci)
-                .collect();
-            for ci in &filter_idx {
-                applied[*ci] = true;
+            let mut filters = Vec::new();
+            for (ci, c) in self.conjuncts.iter().enumerate() {
+                if !applied[ci] && c.class == ConjunctClass::SingleBinding && c.bindings == [bi] {
+                    applied[ci] = true;
+                    filters.push(&c.compiled);
+                }
             }
-            let filtered = self.filtered_relation(bi, &filter_idx)?;
-            let bound: Vec<bool> = (0..n).map(|i| i < bi).collect();
+            let rows = self.scan(bi, &filters)?;
 
             // Hash-joinable edges between binding bi and the bound prefix.
-            let edges: Vec<(usize, usize, usize)> = if strategy == JoinStrategy::Auto {
-                self.hash_edges(bi, &bound, &applied)
-            } else {
-                Vec::new()
+            let edges = match strategy {
+                JoinStrategy::Auto if acc.len > 0 => self.hash_edges(bi, &applied),
+                _ => Vec::new(),
             };
-
-            acc = if !edges.is_empty() && !acc.is_empty() {
+            acc = if edges.is_empty() {
+                let mut out = Combos::with_capacity(acc.arity + 1, acc.len * rows.len());
+                for prefix in acc.iter() {
+                    for r in &rows {
+                        out.push(prefix, *r);
+                    }
+                }
+                out
+            } else {
                 for (ci, _, _) in &edges {
                     applied[*ci] = true;
                 }
-                self.hash_join(acc, &filtered, bi, &edges)?
-            } else {
-                self.nested_loop(acc, &filtered, bi)
+                self.hash_join(&acc, &rows, bi, &edges)
             };
 
             // Residuals whose bindings are now all available.
@@ -250,13 +236,7 @@ impl PreparedQuery {
                     continue;
                 }
                 applied[ci] = true;
-                let mut kept = Vec::with_capacity(acc.len());
-                for (row, lin) in acc {
-                    if c.compiled.truth(&row)?.is_true() {
-                        kept.push((row, lin));
-                    }
-                }
-                acc = kept;
+                acc.retain(|idx| Ok(c.compiled.truth(&self.combo(0, idx))?.is_true()))?;
             }
         }
 
@@ -264,19 +244,33 @@ impl PreparedQuery {
         // mandatory), so every conjunct has been applied by now.
         debug_assert!(applied.iter().all(|a| *a));
 
-        // Project (keeping sort keys from the flat rows), then apply
-        // DISTINCT → ORDER BY → LIMIT in SQL order. Lineage is NOT truncated
-        // by LIMIT: indispensability (Definition 2) is about the predicate's
-        // satisfying combinations, which a row-count cutoff on the *output*
-        // does not un-access; this errs on the conservative side for
-        // auditing. Value-mode exposure uses `rows`, which IS truncated.
-        let mut projected: Vec<(Row, Vec<Value>)> = Vec::with_capacity(acc.len());
-        let mut lineage = Vec::with_capacity(acc.len());
-        for (flat, lin) in &acc {
-            let keys =
-                self.order_by.iter().map(|(e, _)| e.eval(flat)).collect::<Result<Vec<_>, _>>()?;
-            projected.push((self.project(flat)?, keys));
-            lineage.push(lin.clone());
+        // Materialise the survivors: sort keys, projection and lineage, in
+        // combination order. Then apply DISTINCT → ORDER BY → LIMIT in SQL
+        // order. Lineage is NOT truncated by LIMIT: indispensability
+        // (Definition 2) is about the predicate's satisfying combinations,
+        // which a row-count cutoff on the *output* does not un-access; this
+        // errs on the conservative side for auditing. Value-mode exposure
+        // uses `rows`, which IS truncated.
+        let mut projected: Vec<(Row, Vec<Value>)> = Vec::with_capacity(acc.len);
+        let mut lineage = Vec::with_capacity(acc.len);
+        for idx in acc.iter() {
+            let combo = self.combo(0, idx);
+            let keys = self
+                .order_by
+                .iter()
+                .map(|(e, _)| e.eval(&combo).map(Cow::into_owned))
+                .collect::<Result<Vec<_>, _>>()?;
+            projected.push((self.project(&combo)?, keys));
+            lineage.push(
+                idx.iter()
+                    .enumerate()
+                    .map(|(b, r)| LineageEntry {
+                        binding: self.scope.bindings()[b].0.clone(),
+                        table: self.relations[b].name.clone(),
+                        tid: self.relations[b].rows[*r].0,
+                    })
+                    .collect(),
+            );
         }
 
         if self.distinct {
@@ -312,172 +306,223 @@ impl PreparedQuery {
         Ok(ResultSet { columns: self.column_names(), rows, lineage })
     }
 
-    /// Scans relation `bi` and applies the given single-binding filters.
-    /// Borrows the snapshot's rows directly when there is nothing to
-    /// filter, so the common case copies no row data.
-    fn filtered_relation(
-        &self,
-        bi: usize,
-        filter_idx: &[usize],
-    ) -> Result<Cow<'_, [(Tid, Row)]>, StorageError> {
-        let rel = &self.relations[bi];
-        let offset = self.scope.offset(bi);
-        let filters: Vec<&PlannedConjunct> =
-            filter_idx.iter().map(|ci| &self.conjuncts[*ci]).collect();
+    /// Bindings `first..first + idx.len()` bound to the indexed rows.
+    fn combo<'a>(&'a self, first: usize, idx: &'a [usize]) -> Combo<'a> {
+        Combo { query: self, first, idx }
+    }
+
+    /// Row indices of relation `bi` passing every filter, each row tested in
+    /// place, in row order, filters in order.
+    fn scan(&self, bi: usize, filters: &[&CompiledExpr]) -> Result<Vec<usize>, StorageError> {
+        let n = self.relations[bi].rows.len();
         if filters.is_empty() {
-            return Ok(Cow::Borrowed(&rel.rows[..]));
+            return Ok((0..n).collect());
         }
-        let mut scratch = vec![Value::Null; self.scope.width()];
-        let mut out = Vec::new();
-        'rows: for (tid, row) in &rel.rows {
-            scratch[offset..offset + row.len()].clone_from_slice(row);
-            for f in &filters {
-                if !f.compiled.truth(&scratch)?.is_true() {
+        let mut kept = Vec::new();
+        'rows: for r in 0..n {
+            let row = self.combo(bi, std::slice::from_ref(&r));
+            for f in filters {
+                if !f.truth(&row)?.is_true() {
                     continue 'rows;
                 }
             }
-            out.push((*tid, row.clone()));
+            kept.push(r);
         }
-        Ok(Cow::Owned(out))
+        Ok(kept)
     }
 
     /// Equi-join edges `(conjunct idx, probe slot in prefix, build slot in
     /// bi)` that are hash-join-safe (plain columns, equal non-float types).
-    fn hash_edges(
-        &self,
-        bi: usize,
-        bound: &[bool],
-        applied: &[bool],
-    ) -> Vec<(usize, usize, usize)> {
+    fn hash_edges(&self, bi: usize, applied: &[bool]) -> Vec<(usize, usize, usize)> {
+        let slot_type = |slot: usize| {
+            let (b, c) = self.scope.locate(slot);
+            self.scope.bindings()[b].1.type_at(c)
+        };
         let mut edges = Vec::new();
         for (ci, c) in self.conjuncts.iter().enumerate() {
             if applied[ci] || c.class != ConjunctClass::EquiJoin {
                 continue;
             }
             let Some((sa, sb)) = c.equi_slots else { continue };
-            let (ba, bb) = (self.binding_of_slot(sa), self.binding_of_slot(sb));
-            let (probe, build) = if bb == bi && bound[ba] {
+            let (ba, bb) = (self.scope.binding_of(sa), self.scope.binding_of(sb));
+            let (probe, build) = if bb == bi && ba < bi {
                 (sa, sb)
-            } else if ba == bi && bound[bb] {
+            } else if ba == bi && bb < bi {
                 (sb, sa)
             } else {
                 continue;
             };
-            if self.slot_type(probe) == self.slot_type(build)
-                && self.slot_type(probe) != TypeName::Float
-            {
+            if slot_type(probe) == slot_type(build) && slot_type(probe) != TypeName::Float {
                 edges.push((ci, probe, build));
             }
         }
         edges
     }
 
-    fn binding_of_slot(&self, slot: usize) -> usize {
-        let mut bi = 0;
-        for i in 0..self.scope.binding_count() {
-            if slot >= self.scope.offset(i) {
-                bi = i;
-            }
-        }
-        bi
-    }
-
-    fn slot_type(&self, slot: usize) -> TypeName {
-        let bi = self.binding_of_slot(slot);
-        let ci = slot - self.scope.offset(bi);
-        self.scope.bindings()[bi].1.type_at(ci)
-    }
-
-    fn nested_loop(
+    /// Joins the prefix combinations with `rows` of relation `bi` on
+    /// `edges`. The hash table is built over the smaller side and the other
+    /// streamed; either way the output is prefix-major, rows in relation
+    /// order — what a nested loop would emit.
+    fn hash_join(
         &self,
-        acc: Vec<(Row, LineageRow)>,
-        rows: &[(Tid, Row)],
+        acc: &Combos,
+        rows: &[usize],
         bi: usize,
-    ) -> Vec<(Row, LineageRow)> {
+        edges: &[(usize, usize, usize)],
+    ) -> Combos {
+        let rel = &self.relations[bi].rows;
         let offset = self.scope.offset(bi);
-        let mut out = Vec::with_capacity(acc.len() * rows.len());
-        for (prefix, lin) in &acc {
-            for (tid, row) in rows {
-                let mut flat = prefix.clone();
-                flat[offset..offset + row.len()].clone_from_slice(row);
-                let mut lineage = lin.clone();
-                lineage.push(LineageEntry {
-                    binding: self.bindings[bi].clone(),
-                    table: self.relations[bi].name.clone(),
-                    tid: *tid,
-                });
-                out.push((flat, lineage));
+        let prefix_key = |p: usize| {
+            let combo = self.combo(0, acc.get(p));
+            edges.iter().map(move |(_, probe, _)| combo.get(*probe))
+        };
+        let row_key = |r: usize| edges.iter().map(move |(_, _, build)| &rel[r].1[build - offset]);
+
+        let pairs = if acc.len < rows.len() {
+            let mut pairs = hash_matches(0..acc.len, prefix_key, rows.iter().copied(), row_key);
+            for pair in &mut pairs {
+                *pair = (pair.1, pair.0);
             }
+            pairs.sort_unstable();
+            pairs
+        } else {
+            hash_matches(rows.iter().copied(), row_key, 0..acc.len, prefix_key)
+        };
+        let mut out = Combos::with_capacity(acc.arity + 1, pairs.len());
+        for (p, r) in pairs {
+            out.push(acc.get(p), r);
         }
         out
     }
 
-    fn hash_join(
-        &self,
-        acc: Vec<(Row, LineageRow)>,
-        rows: &[(Tid, Row)],
-        bi: usize,
-        edges: &[(usize, usize, usize)],
-    ) -> Result<Vec<(Row, LineageRow)>, StorageError> {
-        let offset = self.scope.offset(bi);
-        // Build side: the new relation, keyed by its join columns.
-        let mut table: HashMap<Vec<Value>, Vec<(Tid, &Row)>> = HashMap::new();
-        let mut scratch = vec![Value::Null; self.scope.width()];
-        'rows: for (tid, row) in rows {
-            scratch[offset..offset + row.len()].clone_from_slice(row);
-            let mut key = Vec::with_capacity(edges.len());
-            for (_, _, build_slot) in edges {
-                let v = scratch[*build_slot].clone();
-                if v.is_null() {
-                    continue 'rows; // NULL never joins
-                }
-                key.push(v);
-            }
-            table.entry(key).or_default().push((*tid, row));
-        }
-
-        let mut out = Vec::new();
-        'probe: for (prefix, lin) in &acc {
-            let mut key = Vec::with_capacity(edges.len());
-            for (_, probe_slot, _) in edges {
-                let v = prefix[*probe_slot].clone();
-                if v.is_null() {
-                    continue 'probe;
-                }
-                key.push(v);
-            }
-            if let Some(matches) = table.get(&key) {
-                for (tid, row) in matches {
-                    let mut flat = prefix.clone();
-                    flat[offset..offset + row.len()].clone_from_slice(row);
-                    let mut lineage = lin.clone();
-                    lineage.push(LineageEntry {
-                        binding: self.bindings[bi].clone(),
-                        table: self.relations[bi].name.clone(),
-                        tid: *tid,
-                    });
-                    out.push((flat, lineage));
-                }
-            }
-        }
-        Ok(out)
-    }
-
-    fn project(&self, flat: &[Value]) -> Result<Row, StorageError> {
+    fn project(&self, combo: &Combo<'_>) -> Result<Row, StorageError> {
+        let base_row = |b: usize| &self.relations[b].rows[combo.idx[b]].1[..];
         let mut out = Vec::new();
         for item in &self.projection.items {
             match item {
-                ProjItem::All => out.extend_from_slice(flat),
-                ProjItem::AllOf(bi) => {
-                    let offset = self.scope.offset(*bi);
-                    let len = self.scope.bindings()[*bi].1.len();
-                    out.extend_from_slice(&flat[offset..offset + len]);
+                ProjItem::All => {
+                    for b in 0..combo.idx.len() {
+                        out.extend_from_slice(base_row(b));
+                    }
                 }
-                ProjItem::Expr { compiled, .. } => out.push(compiled.eval(flat)?),
+                ProjItem::AllOf(bi) => out.extend_from_slice(base_row(*bi)),
+                ProjItem::Expr { compiled, .. } => out.push(compiled.eval(combo)?.into_owned()),
             }
         }
         Ok(out)
     }
+}
+
+/// The join working set: `len` combinations of `arity` row indices each —
+/// one per joined binding, in `FROM` order — stored flat.
+struct Combos {
+    arity: usize,
+    len: usize,
+    idx: Vec<usize>,
+}
+
+impl Combos {
+    fn with_capacity(arity: usize, combos: usize) -> Self {
+        Combos { arity, len: 0, idx: Vec::with_capacity(arity * combos) }
+    }
+
+    fn get(&self, p: usize) -> &[usize] {
+        &self.idx[p * self.arity..(p + 1) * self.arity]
+    }
+
+    fn iter(&self) -> impl Iterator<Item = &[usize]> {
+        (0..self.len).map(|p| self.get(p))
+    }
+
+    /// Appends `prefix` extended by row `r`.
+    fn push(&mut self, prefix: &[usize], r: usize) {
+        self.idx.extend_from_slice(prefix);
+        self.idx.push(r);
+        self.len += 1;
+    }
+
+    /// Keeps the combinations `keep` accepts, testing each in order.
+    fn retain(
+        &mut self,
+        mut keep: impl FnMut(&[usize]) -> Result<bool, StorageError>,
+    ) -> Result<(), StorageError> {
+        let mut kept = 0;
+        for p in 0..self.len {
+            if keep(self.get(p))? {
+                self.idx.copy_within(p * self.arity..(p + 1) * self.arity, kept * self.arity);
+                kept += 1;
+            }
+        }
+        self.len = kept;
+        self.idx.truncate(kept * self.arity);
+        Ok(())
+    }
+}
+
+static NULL: Value = Value::Null;
+
+/// One combination seen as a flat row: bindings `first..first + idx.len()`
+/// are bound to the indexed rows of their relations, every other binding's
+/// slots read NULL.
+struct Combo<'a> {
+    query: &'a PreparedQuery,
+    first: usize,
+    idx: &'a [usize],
+}
+
+impl<'a> Combo<'a> {
+    fn get(&self, slot: usize) -> &'a Value {
+        let (b, c) = self.query.scope.locate(slot);
+        match b.checked_sub(self.first).and_then(|k| self.idx.get(k)) {
+            Some(r) => &self.query.relations[b].rows[*r].1[c],
+            None => &NULL,
+        }
+    }
+}
+
+impl SlotView for Combo<'_> {
+    fn slot(&self, slot: usize) -> &Value {
+        self.get(slot)
+    }
+}
+
+/// Equi-matches two keyed sequences: hash-builds over `build`, streams
+/// `probe`, and returns `(probe item, build item)` per match, probe-major
+/// with build items in build order. A key with a NULL never matches.
+fn hash_matches<'v, B, P>(
+    build: impl Iterator<Item = usize>,
+    build_key: impl Fn(usize) -> B,
+    probe: impl Iterator<Item = usize>,
+    probe_key: impl Fn(usize) -> P,
+) -> Vec<(usize, usize)>
+where
+    B: Iterator<Item = &'v Value>,
+    P: Iterator<Item = &'v Value>,
+{
+    let mut table: HashMap<Vec<&Value>, Vec<usize>> = HashMap::new();
+    let mut key: Vec<&Value> = Vec::new();
+    for b in build {
+        key.clear();
+        key.extend(build_key(b));
+        if key.iter().any(|v| v.is_null()) {
+            continue;
+        }
+        match table.get_mut(key.as_slice()) {
+            Some(items) => items.push(b),
+            None => {
+                table.insert(key.clone(), vec![b]);
+            }
+        }
+    }
+    let mut out = Vec::new();
+    for p in probe {
+        key.clear();
+        key.extend(probe_key(p));
+        if let Some(items) = table.get(key.as_slice()) {
+            out.extend(items.iter().map(|b| (p, *b)));
+        }
+    }
+    out
 }
 
 fn rows_grouping_eq(a: &[Value], b: &[Value]) -> bool {

@@ -55,7 +55,7 @@ pub fn classify_conjuncts(
             let compiled = compile(c, scope)?;
             let mut slots = Vec::new();
             compiled.slots(&mut slots);
-            let mut bindings: Vec<usize> = slots.iter().map(|s| binding_of(scope, *s)).collect();
+            let mut bindings: Vec<usize> = slots.iter().map(|s| scope.binding_of(*s)).collect();
             bindings.sort_unstable();
             bindings.dedup();
 
@@ -64,7 +64,7 @@ pub fn classify_conjuncts(
             } else if let CompiledExpr::Cmp(BinOp::Eq, l, r) = &compiled {
                 match (l.as_ref(), r.as_ref()) {
                     (CompiledExpr::Slot(a), CompiledExpr::Slot(b))
-                        if binding_of(scope, *a) != binding_of(scope, *b) =>
+                        if scope.binding_of(*a) != scope.binding_of(*b) =>
                     {
                         ConjunctClass::EquiJoin
                     }
@@ -90,16 +90,6 @@ pub fn classify_conjuncts(
             Ok(PlannedConjunct { compiled, bindings, class, equi_slots })
         })
         .collect()
-}
-
-fn binding_of(scope: &Scope, slot: usize) -> usize {
-    let mut bi = 0;
-    for i in 0..scope.binding_count() {
-        if slot >= scope.offset(i) {
-            bi = i;
-        }
-    }
-    bi
 }
 
 #[cfg(test)]

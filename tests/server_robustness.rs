@@ -175,8 +175,12 @@ fn stalled_subscriber_is_evicted_and_never_blocks_ingest() {
     stalled.send(r#"{"cmd":"subscribe"}"#); // never reads anything back
 
     let mut driver = Conn::open(&addr);
-    let stats = poll_stats(&mut driver, Duration::from_secs(5), |s| stat(s, "subscribers") >= 1);
-    assert!(stat(&stats, "subscribers") >= 1, "subscriber never attached: {stats}");
+    // The subscribe ack itself goes through the stalled writer, so the
+    // subscriber can already have been evicted when the first poll looks:
+    // wait on the evidence that only grows (attached now, or evicted since).
+    let attached = |s: &Json| stat(s, "subscribers") >= 1 || stat(s, "subscribers_evicted") >= 1;
+    let stats = poll_stats(&mut driver, Duration::from_secs(5), attached);
+    assert!(attached(&stats), "subscriber never attached: {stats}");
 
     let started = Instant::now();
     let mut requests = vec![tables_dml_request(), register_request()];

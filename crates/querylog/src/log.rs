@@ -17,7 +17,7 @@ pub trait LogSink: Send + Sync {
     fn on_append(&self, entry: &LoggedQuery);
 }
 
-/// Why a validated append was refused (see [`QueryLog::record_text_validated`]).
+/// Why a validated append was refused (see [`QueryLog::append_validated`]).
 #[derive(Debug)]
 pub enum AppendError {
     /// The SQL text is not a well-formed SELECT.
@@ -30,6 +30,14 @@ pub enum AppendError {
         /// The rejected entry's timestamp.
         offered: Timestamp,
     },
+    /// A pre-built entry does not carry the next id — the log moved
+    /// between numbering the entry and appending it.
+    IdMismatch {
+        /// The id the next entry must carry (`len + 1`).
+        expected: QueryId,
+        /// The rejected entry's id.
+        offered: QueryId,
+    },
 }
 
 impl fmt::Display for AppendError {
@@ -41,6 +49,9 @@ impl fmt::Display for AppendError {
                 "out-of-order log append: offered {offered}, but the log is already at {last} \
                  (timestamps must be non-decreasing)"
             ),
+            AppendError::IdMismatch { expected, offered } => {
+                write!(f, "log append carries id {offered}, but the next id is {expected}")
+            }
         }
     }
 }
@@ -138,10 +149,8 @@ impl QueryLog {
     }
 
     /// Parses and appends query text like [`QueryLog::record_text`], but
-    /// also enforces the streaming discipline: the entry's timestamp must
-    /// not precede the newest entry already logged. Validation and append
-    /// happen under one write lock, so concurrent appenders cannot
-    /// interleave a rewind past the check.
+    /// under the same streaming discipline as
+    /// [`QueryLog::append_validated`] — one shared check, one write lock.
     pub fn record_text_validated(
         &self,
         sql: &str,
@@ -150,19 +159,42 @@ impl QueryLog {
     ) -> Result<QueryId, AppendError> {
         let query = audex_sql::parse_query(sql)?;
         let mut guard = self.write();
+        let id = QueryId(guard.len() as u64 + 1);
+        let entry = LoggedQuery::new(id, query, sql.to_string(), executed_at, context);
+        self.append_checked(&mut guard, Arc::new(entry))
+    }
+
+    /// Appends an entry the caller already parsed and numbered — the live
+    /// ingest path scores the very `Arc` it then logs, so the text is
+    /// parsed once. Enforces the streaming discipline: the entry's
+    /// timestamp must not precede the newest entry already logged, and its
+    /// id must be the next one (`len + 1`). Validation and append happen
+    /// under one write lock, so concurrent appenders cannot interleave a
+    /// rewind past the check.
+    pub fn append_validated(&self, entry: Arc<LoggedQuery>) -> Result<QueryId, AppendError> {
+        self.append_checked(&mut self.write(), entry)
+    }
+
+    fn append_checked(
+        &self,
+        guard: &mut Vec<Arc<LoggedQuery>>,
+        entry: Arc<LoggedQuery>,
+    ) -> Result<QueryId, AppendError> {
         if let Some(last) = guard.last() {
-            if executed_at < last.executed_at {
+            if entry.executed_at < last.executed_at {
                 return Err(AppendError::OutOfOrder {
                     last: last.executed_at,
-                    offered: executed_at,
+                    offered: entry.executed_at,
                 });
             }
         }
-        let id = QueryId(guard.len() as u64 + 1);
-        let entry = Arc::new(LoggedQuery::new(id, query, sql.to_string(), executed_at, context));
+        let expected = QueryId(guard.len() as u64 + 1);
+        if entry.id != expected {
+            return Err(AppendError::IdMismatch { expected, offered: entry.id });
+        }
         self.notify(&entry);
         guard.push(entry);
-        Ok(id)
+        Ok(expected)
     }
 
     /// Appends text that an earlier run already validated — a journaled
@@ -282,6 +314,46 @@ mod tests {
             Err(AppendError::Parse(_))
         ));
         assert_eq!(log.len(), 2);
+    }
+
+    #[test]
+    fn append_validated_logs_the_callers_entry_under_the_same_checks() {
+        #[derive(Default)]
+        struct Seen(Mutex<Vec<QueryId>>);
+        impl LogSink for Seen {
+            fn on_append(&self, entry: &LoggedQuery) {
+                self.0.lock().unwrap().push(entry.id);
+            }
+        }
+        let entry = |id: u64, ts: i64| {
+            let sql = "SELECT a FROM t";
+            let query = audex_sql::parse_query(sql).unwrap();
+            Arc::new(LoggedQuery::new(QueryId(id), query, sql.to_string(), Timestamp(ts), ctx()))
+        };
+        let log = QueryLog::new();
+        let seen = Arc::new(Seen::default());
+        log.set_sink(seen.clone());
+        let first = entry(1, 10);
+        assert_eq!(log.append_validated(Arc::clone(&first)).unwrap(), QueryId(1));
+        assert!(Arc::ptr_eq(&log.get(QueryId(1)).unwrap(), &first), "no second entry is built");
+        // Interchangeable with the text path: same ids, same ordering rule.
+        assert_eq!(
+            log.record_text_validated("SELECT b FROM t", Timestamp(10), ctx()).unwrap().0,
+            2
+        );
+        assert!(matches!(
+            log.append_validated(entry(3, 9)),
+            Err(AppendError::OutOfOrder { last: Timestamp(10), offered: Timestamp(9) })
+        ));
+        let err = log.append_validated(entry(7, 11)).unwrap_err();
+        assert!(matches!(
+            err,
+            AppendError::IdMismatch { expected: QueryId(3), offered: QueryId(7) }
+        ));
+        assert!(err.to_string().contains("next id is q3"), "{err}");
+        assert_eq!(log.append_validated(entry(3, 11)).unwrap(), QueryId(3));
+        // The sink saw exactly the accepted appends, in id order.
+        assert_eq!(*seen.0.lock().unwrap(), vec![QueryId(1), QueryId(2), QueryId(3)]);
     }
 
     #[test]

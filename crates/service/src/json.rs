@@ -96,6 +96,14 @@ impl Json {
         }
         Ok(v)
     }
+
+    /// Appends this value as one protocol line — its encoding, then `\n` —
+    /// to `out`: byte for byte `format!("{self}\n")`, rendered in place.
+    pub fn push_line(&self, out: &mut String) {
+        use fmt::Write as _;
+        // Writing into a `String` cannot fail.
+        let _ = writeln!(out, "{self}");
+    }
 }
 
 /// Convenience: builds an object from (key, value) pairs.
@@ -363,52 +371,64 @@ impl<'a> Parser<'a> {
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            Json::Null => write!(f, "null"),
+            Json::Null => f.write_str("null"),
             Json::Bool(b) => write!(f, "{b}"),
             Json::Int(i) => write!(f, "{i}"),
             Json::Float(x) if x.is_finite() => write!(f, "{x}"),
             // JSON has no Infinity/NaN; null is the least-surprising spelling.
-            Json::Float(_) => write!(f, "null"),
+            Json::Float(_) => f.write_str("null"),
             Json::Str(s) => write_escaped(f, s),
             Json::Arr(items) => {
-                write!(f, "[")?;
+                f.write_str("[")?;
                 for (i, v) in items.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_str(",")?;
                     }
-                    write!(f, "{v}")?;
+                    fmt::Display::fmt(v, f)?;
                 }
-                write!(f, "]")
+                f.write_str("]")
             }
             Json::Obj(fields) => {
-                write!(f, "{{")?;
+                f.write_str("{")?;
                 for (i, (k, v)) in fields.iter().enumerate() {
                     if i > 0 {
-                        write!(f, ",")?;
+                        f.write_str(",")?;
                     }
                     write_escaped(f, k)?;
-                    write!(f, ":{v}")?;
+                    f.write_str(":")?;
+                    fmt::Display::fmt(v, f)?;
                 }
-                write!(f, "}}")
+                f.write_str("}")
             }
         }
     }
 }
 
+/// Writes `s` quoted and escaped, by runs: every byte that needs an escape
+/// is ASCII, so the clean stretch before it is a valid `str` slice and goes
+/// out in one `write_str` (the common string has none: quote, body, quote).
 fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    write!(f, "\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => write!(f, "\\\"")?,
-            '\\' => write!(f, "\\\\")?,
-            '\n' => write!(f, "\\n")?,
-            '\r' => write!(f, "\\r")?,
-            '\t' => write!(f, "\\t")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
+    f.write_str("\"")?;
+    let mut start = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => Some("\\\""),
+            b'\\' => Some("\\\\"),
+            b'\n' => Some("\\n"),
+            b'\r' => Some("\\r"),
+            b'\t' => Some("\\t"),
+            0..=0x1f => None,
+            _ => continue,
+        };
+        f.write_str(&s[start..i])?;
+        match escape {
+            Some(escape) => f.write_str(escape)?,
+            None => write!(f, "\\u{b:04x}")?,
         }
+        start = i + 1;
     }
-    write!(f, "\"")
+    f.write_str(&s[start..])?;
+    f.write_str("\"")
 }
 
 #[cfg(test)]
@@ -468,6 +488,67 @@ mod tests {
         let mixed = format!(r#"{}"x"{}"#, r#"{"k":["#.repeat(40), "]}".repeat(40));
         let err = Json::parse(&mixed).unwrap_err();
         assert!(err.contains("nesting"), "{err}");
+    }
+
+    /// The renderer this module shipped before escaping by runs: one
+    /// formatted write per `char`. Kept as the byte-identity oracle.
+    fn escaped_per_char(s: &str) -> String {
+        let mut out = String::from("\"");
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
+                c => out.push(c),
+            }
+        }
+        out.push('"');
+        out
+    }
+
+    #[test]
+    fn escaping_by_runs_is_byte_identical_to_per_char() {
+        let controls: String = (0u8..0x20).map(char::from).collect();
+        let mut cases: Vec<String> = [
+            "",
+            "plain",
+            "\"",
+            "\\",
+            "say \"hi\" \\ bye",
+            "\n\r\t",
+            "tab\tmid, newline at end\n",
+            "\"leading and trailing\"",
+            "é",
+            "naïve — 患者 🤔",
+            "🤔\"患\\者\n",
+            "\u{7f}\u{80}\u{9f}",
+            "SELECT name FROM Patients WHERE zipcode = '120016'",
+        ]
+        .iter()
+        .map(|s| s.to_string())
+        .collect();
+        cases.push(controls.clone());
+        cases.extend(controls.chars().map(|c| format!("a{c}é{c}")));
+        for s in &cases {
+            let rendered = Json::Str(s.clone()).to_string();
+            assert_eq!(rendered, escaped_per_char(s), "{s:?}");
+            assert_eq!(Json::parse(&rendered).unwrap().as_str(), Some(s.as_str()), "{s:?}");
+            // Keys go through the same escaper.
+            let keyed = Json::Obj(vec![(s.clone(), Json::Null)]).to_string();
+            assert_eq!(keyed, format!("{{{}:null}}", escaped_per_char(s)), "{s:?}");
+        }
+    }
+
+    #[test]
+    fn push_line_is_display_plus_newline() {
+        let v = Json::parse(r#"{"a":[1,2.5,"x\ny",null,true],"b":{"c":"é\"q"},"d":-7}"#).unwrap();
+        let mut out = String::from("prefix|");
+        v.push_line(&mut out);
+        assert_eq!(out, format!("prefix|{v}\n"));
+        assert_eq!(v.to_string(), r#"{"a":[1,2.5,"x\ny",null,true],"b":{"c":"é\"q"},"d":-7}"#);
     }
 
     #[test]

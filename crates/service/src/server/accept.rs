@@ -18,13 +18,14 @@
 //! acquiring its shard lock, so no straggler can append to a journal
 //! once the drain owns it.
 
-use std::io::{self, Write};
+use std::io;
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 use super::broadcast::SubscriberHub;
+use super::wire::write_line;
 use super::{conn, protocol_error, FrontDoorConfig, FrontMetrics};
 use crate::fault::NetStream;
 use crate::state::ServiceCore;
@@ -155,9 +156,9 @@ impl Server {
                     self.shared.conn_count.fetch_add(1, Ordering::SeqCst);
                     self.shared.metrics.connections.add(1);
                     self.shared.metrics.connections_total.inc();
-                    // One response/event line per flush: Nagle would hold
-                    // each behind the previous ACK, costing ~40ms per
-                    // round trip on loopback.
+                    // One `write` per response line or event batch (see
+                    // `wire`): Nagle would hold each behind the previous
+                    // ACK, costing ~40ms per round trip on loopback.
                     let _ = stream.set_nodelay(true);
                     let stream = NetStream::new(stream, self.shared.cfg.faults.arm(ordinal));
                     if let Ok(handle) = stream.try_clone() {
@@ -218,6 +219,5 @@ impl Server {
 /// short write timeout bounds even this courtesy write.
 fn shed(mut stream: TcpStream) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(250)));
-    let _ = writeln!(stream, "{}", protocol_error("overloaded".into()));
-    let _ = stream.flush();
+    let _ = write_line(&mut stream, &protocol_error("overloaded".into()));
 }

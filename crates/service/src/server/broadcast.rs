@@ -11,13 +11,18 @@
 //! that goes away on its own is counted as a disconnect instead. Either
 //! way, ingest latency is independent of the slowest client.
 //!
+//! Each writer thread is a *coalescing* drain: it blocks for one line,
+//! takes whatever else is already queued (up to [`BATCH_BYTES`]) and
+//! delivers the run in one write. A subscriber therefore holds at most
+//! `--sub-queue` lines plus one batch buffer of `BATCH_BYTES` + one line.
+//!
 //! Lifecycle accounting runs through one compare-and-swap on
 //! [`SubSlot::gone`]: whichever side notices first — the publisher on a
 //! full queue, the writer thread on a write error, the connection loop on
 //! reader EOF, the drain on shutdown — wins the CAS and does the counting
 //! exactly once; everyone else stands down.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::net::Shutdown;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
@@ -26,19 +31,21 @@ use std::time::{Duration, Instant};
 
 use audex_obs::{Counter, Gauge};
 
+use super::wire::{self, BATCH_BYTES};
 use crate::fault::NetStream;
 use crate::json::Json;
 use crate::tenant::TenantId;
 
 /// What a subscriber's writer thread receives: an event/response line to
-/// deliver, or the drain sentinel asking it to flush and exit.
+/// deliver (rendered, newline included), or the drain sentinel asking it
+/// to flush and exit.
 enum Msg {
     Line(Arc<str>),
     Close,
 }
 
 /// Why a slot left service; decides which counter the CAS winner bumps.
-#[derive(Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) enum Retire {
     /// Fell behind: queue full or write timed out. Counted as an eviction.
     Evicted,
@@ -135,7 +142,7 @@ impl SubscriberHub {
         stream: NetStream,
         tenant: TenantId,
     ) -> std::io::Result<Arc<SubSlot>> {
-        let writer = stream.try_clone()?;
+        let mut writer = stream.try_clone()?;
         writer.set_write_timeout(Some(self.write_timeout))?;
         let (tx, rx) = std::sync::mpsc::sync_channel(self.queue_depth);
         let slot = Arc::new(SubSlot {
@@ -148,7 +155,11 @@ impl SubscriberHub {
         self.counters.subscribers.add(1);
         let thread_slot = Arc::clone(&slot);
         let thread_counters = self.counters.clone();
-        std::thread::spawn(move || writer_loop(thread_slot, rx, writer, thread_counters));
+        std::thread::spawn(move || {
+            let reason = writer_loop(&rx, &mut writer);
+            thread_slot.retire(&thread_counters, reason);
+            thread_slot.done.store(true, Ordering::SeqCst);
+        });
         self.lock_subs().push(Arc::clone(&slot));
         Ok(slot)
     }
@@ -160,7 +171,7 @@ impl SubscriberHub {
         if slot.is_gone() {
             return false;
         }
-        self.offer(slot, Arc::from(line.to_string().as_str()))
+        self.offer(slot, wire::shared_line(line))
     }
 
     /// Fans events out to every live subscriber **of the publishing
@@ -178,7 +189,7 @@ impl SubscriberHub {
             return;
         }
         for event in events {
-            let line: Arc<str> = Arc::from(event.to_string().as_str());
+            let line = wire::shared_line(event);
             for slot in subs.iter().filter(|s| s.tenant == *tenant) {
                 self.offer(slot, Arc::clone(&line));
             }
@@ -251,38 +262,122 @@ impl SubscriberHub {
     }
 }
 
-/// One subscriber's dedicated writer: drains the bounded queue onto the
-/// socket. A write error or timeout retires the slot (timeout ⇒ evicted,
-/// hangup ⇒ disconnected); the `Close` sentinel means flush done, exit
-/// clean.
-fn writer_loop(
-    slot: Arc<SubSlot>,
-    rx: Receiver<Msg>,
-    mut stream: NetStream,
-    counters: HubCounters,
-) {
-    while let Ok(msg) = rx.recv() {
-        let line = match msg {
-            Msg::Line(line) => line,
-            Msg::Close => {
-                slot.retire(&counters, Retire::Drained);
-                break;
+/// One subscriber's dedicated writer: a coalescing drain of the bounded
+/// queue onto `sink`. Lines leave in queue order, never split or reordered
+/// around the `Close` sentinel: whatever was queued ahead of it is written
+/// first. Returns why the subscriber is done — a write error or timeout
+/// (timeout ⇒ evicted, hangup ⇒ disconnected), or `Close` ⇒ drained.
+fn writer_loop(rx: &Receiver<Msg>, sink: &mut impl Write) -> Retire {
+    let mut batch = String::new();
+    while let Ok(mut msg) = rx.recv() {
+        let closed = loop {
+            match msg {
+                Msg::Line(line) => batch.push_str(&line),
+                Msg::Close => break true,
+            }
+            if batch.len() >= BATCH_BYTES {
+                break false;
+            }
+            match rx.try_recv() {
+                Ok(next) => msg = next,
+                Err(_) => break false,
             }
         };
-        let wrote = stream
-            .write_all(line.as_bytes())
-            .and_then(|()| stream.write_all(b"\n"))
-            .and_then(|()| stream.flush());
-        if let Err(e) = wrote {
-            let reason = match e.kind() {
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut => Retire::Evicted,
+        if let Err(e) = wire::flush(sink, &mut batch) {
+            return match e.kind() {
+                ErrorKind::WouldBlock | ErrorKind::TimedOut => Retire::Evicted,
                 _ => Retire::Disconnected,
             };
-            slot.retire(&counters, reason);
-            break;
+        }
+        if closed {
+            return Retire::Drained;
         }
     }
     // Sender gone without a sentinel counts as a disconnect too.
-    slot.retire(&counters, Retire::Disconnected);
-    slot.done.store(true, Ordering::SeqCst);
+    Retire::Disconnected
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::wire::tests::{scored_reply, CountingSink};
+    use super::*;
+    use crate::json::obj;
+    use std::sync::mpsc::sync_channel;
+
+    /// Queues `lines` (then `Close` if asked) before the writer runs, runs
+    /// it to completion on `sink`, and returns why it stopped.
+    fn run_writer(lines: &[Json], close: bool, sink: &mut CountingSink) -> Retire {
+        let (tx, rx) = sync_channel(lines.len() + 1);
+        for line in lines {
+            assert!(tx.try_send(Msg::Line(wire::shared_line(line))).is_ok(), "queue has room");
+        }
+        if close {
+            assert!(tx.try_send(Msg::Close).is_ok(), "queue has room");
+        }
+        drop(tx);
+        writer_loop(&rx, sink)
+    }
+
+    fn per_line(lines: &[Json]) -> Vec<u8> {
+        lines.iter().map(|l| format!("{l}\n")).collect::<String>().into_bytes()
+    }
+
+    #[test]
+    fn a_backlog_is_coalesced_in_order_and_byte_identical() {
+        let lines: Vec<Json> = (0..300i64)
+            .map(|i| obj([("event", Json::from("score")), ("query", Json::Int(i))]))
+            .collect();
+        let mut sink = CountingSink::default();
+        // No sentinel: the sender hanging up is a disconnect, after delivery.
+        assert_eq!(run_writer(&lines, false, &mut sink), Retire::Disconnected);
+        assert!(sink.writes.len() <= 2, "{} writes for 300 queued lines", sink.writes.len());
+        assert_eq!(sink.bytes(), per_line(&lines));
+    }
+
+    #[test]
+    fn close_behind_queued_lines_delivers_them_then_drains() {
+        let lines: Vec<Json> = (0..10).map(scored_reply).collect();
+        let mut sink = CountingSink::default();
+        assert_eq!(run_writer(&lines, true, &mut sink), Retire::Drained);
+        assert_eq!(sink.writes.len(), 1);
+        assert_eq!(sink.bytes(), per_line(&lines));
+        // A bare sentinel writes nothing at all.
+        let mut idle = CountingSink::default();
+        assert_eq!(run_writer(&[], true, &mut idle), Retire::Drained);
+        assert!(idle.writes.is_empty());
+    }
+
+    #[test]
+    fn a_timeout_mid_batch_evicts_once_and_stops_writing() {
+        let lines: Vec<Json> = (0..10).map(scored_reply).collect();
+        let expected = per_line(&lines);
+        let mut sink = CountingSink { absorb: Some(1500), ..CountingSink::default() };
+        // Close is queued too: the failed batch must win over the sentinel.
+        assert_eq!(run_writer(&lines, true, &mut sink), Retire::Evicted);
+        // The stall took a partial write — a prefix of the stream, cut
+        // mid-line — and nothing was attempted after the timeout.
+        assert_eq!(sink.bytes(), &expected[..1500]);
+        assert_eq!(sink.writes.len(), 1);
+    }
+
+    #[test]
+    fn a_batch_overshoots_the_cap_by_at_most_one_line() {
+        let line = Json::Str("x".repeat(1000));
+        let lines = vec![line; 4 * BATCH_BYTES / 1000];
+        let line_len = per_line(&lines[..1]).len();
+        let mut sink = CountingSink::default();
+        assert_eq!(run_writer(&lines, true, &mut sink), Retire::Drained);
+        assert_eq!(sink.bytes(), per_line(&lines));
+        assert!(sink.writes.len() >= 4, "{} writes", sink.writes.len());
+        let (last, full) = sink.writes.split_last().expect("wrote something");
+        for batch in full {
+            assert!(
+                (BATCH_BYTES..BATCH_BYTES + line_len).contains(&batch.len()),
+                "{}",
+                batch.len()
+            );
+            assert_eq!(batch.last(), Some(&b'\n'), "batches end on a line boundary");
+        }
+        assert!(last.len() < BATCH_BYTES + line_len);
+    }
 }

@@ -4,13 +4,14 @@
 //! bytes, garbage, oversized lines, silence — can wedge the loop or
 //! poison the shared core.
 
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader};
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
 use super::accept::Shared;
 use super::broadcast::{Retire, SubSlot};
 use super::protocol_error;
+use super::wire::write_line;
 use crate::fault::NetStream;
 use crate::proto::{parse_envelope, Request};
 use crate::state::Outcome;
@@ -64,7 +65,12 @@ fn read_frame(reader: &mut BufReader<NetStream>, max: usize) -> Frame {
                 if oversized {
                     return Frame::Oversized;
                 }
-                return Frame::Line(String::from_utf8_lossy(&line).into_owned());
+                // The buffer is already ours: validate in place, and pay for
+                // the lossy copy only when the bytes are not UTF-8.
+                return Frame::Line(
+                    String::from_utf8(line)
+                        .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned()),
+                );
             }
             None => {
                 let n = buf.len();
@@ -102,7 +108,7 @@ pub(crate) fn serve_connection(shared: &Arc<Shared>, stream: NetStream) -> io::R
                 shared.hub.send_to(slot, &line);
                 Ok(())
             }
-            None => writeln!(writer, "{line}").and_then(|()| writer.flush()),
+            None => write_line(writer, &line),
         };
 
     loop {
@@ -184,8 +190,7 @@ pub(crate) fn serve_connection(shared: &Arc<Shared>, stream: NetStream) -> io::R
                     shared.hub.publish(shard.id(), &events);
                     drop(core);
                     if slot.is_none() {
-                        writeln!(writer, "{response}")?;
-                        writer.flush()?;
+                        write_line(&mut writer, &response)?;
                     }
                     if shutdown {
                         shared.request_stop();

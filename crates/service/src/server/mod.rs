@@ -26,6 +26,8 @@
 //!   dedicated writer thread, and a subscriber whose queue fills is
 //!   evicted. Ingest latency is therefore independent of the slowest
 //!   subscriber.
+//! * [`wire`] — the one write path. A reply, or a batch of queued event
+//!   lines, is rendered whole and leaves in a single `write`.
 //!
 //! Every front-door decision is counted in the core's metrics registry
 //! under `audex_service_*` (see [`FrontMetrics`]) and surfaced by the
@@ -34,6 +36,7 @@
 mod accept;
 mod broadcast;
 mod conn;
+mod wire;
 
 use std::io::{self, BufRead, Write};
 use std::time::Duration;
@@ -231,9 +234,9 @@ pub fn serve_fleet_stdio(fleet: &ShardMap) -> io::Result<()> {
                 }
             },
         };
-        writeln!(out, "{response}")?;
-        for e in events {
-            writeln!(out, "{e}")?;
+        wire::write_line(&mut out, &response)?;
+        for e in &events {
+            wire::write_line(&mut out, e)?;
         }
         out.flush()?;
         if stop {

@@ -926,9 +926,10 @@ impl ServiceCore {
         };
         self.index.extend_prepared(entry.id, footprint);
 
-        // Commit. The validated append re-checks ordering under the log's
-        // own lock; it cannot fail after the checks above.
-        let id = match self.log.record_text_validated(sql, ts, entry.context.clone()) {
+        // Commit the entry that was just scored — parsed once, allocated
+        // once. The validated append re-checks ordering and the id under
+        // the log's own lock; it cannot fail after the checks above.
+        let id = match self.log.append_validated(Arc::clone(&entry)) {
             Ok(id) => id,
             Err(e) => return self.reject(format!("log append failed: {e}")),
         };

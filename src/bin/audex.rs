@@ -1133,6 +1133,9 @@ fn cmd_send(args: &[String]) -> Result<(), String> {
             }
         }
     };
+    // Request/response ping-pong: with Nagle on, a request split across
+    // segments waits out the peer's delayed ACK (~40ms) before it completes.
+    stream.set_nodelay(true).map_err(|e| e.to_string())?;
     let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
     let mut reader = BufReader::new(stream);
     let mut follow = false;
@@ -1146,8 +1149,10 @@ fn cmd_send(args: &[String]) -> Result<(), String> {
         let tenant_listing = matches!(parsed, Ok(audex::service::Request::ListTenants));
         let queue_listing = matches!(parsed, Ok(audex::service::Request::Queue { .. }));
         let bulk_ack = matches!(parsed, Ok(audex::service::Request::AckTemplate { .. }));
-        writeln!(writer, "{req}").map_err(|e| format!("sending to {addr}: {e}"))?;
-        writer.flush().map_err(|e| e.to_string())?;
+        // The request and its newline leave in one write, one segment.
+        writer
+            .write_all(format!("{req}\n").as_bytes())
+            .map_err(|e| format!("sending to {addr}: {e}"))?;
         let mut line = String::new();
         if reader.read_line(&mut line).map_err(|e| e.to_string())? == 0 {
             return Err(format!("{addr} closed the connection early"));

@@ -152,9 +152,7 @@ fn main() {
          \"largest_workload_speedup_at_4_threads\": {summary},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
         if quick { "quick" } else { "full" }
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_2.json");
-    std::fs::write(path, &json).expect("write BENCH_2.json");
-    println!("wrote {path}");
+    audex_bench::write_report("BENCH_2.json", quick, &json);
     if let Some(x) = speedup_at_4 {
         println!("largest-workload speedup at 4 threads: {x:.2}x ({cores} cores available)");
         if cores < 4 {

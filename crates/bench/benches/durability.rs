@@ -197,9 +197,7 @@ fn main() {
          \"checkpoint_recovery_growth\": {ckpt_growth:.3},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
         if quick { "quick" } else { "full" }
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_4.json");
-    std::fs::write(path, &json).expect("write BENCH_4.json");
-    println!("wrote {path}");
+    audex_bench::write_report("BENCH_4.json", quick, &json);
     println!(
         "recovery growth over a {}x log range: bare WAL {bare_growth:.2}x, \
          with checkpoint {ckpt_growth:.2}x",

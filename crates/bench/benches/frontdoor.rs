@@ -361,9 +361,7 @@ fn main() {
          \"audit_identical_under_faults\": {identical},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
         if quick { "quick" } else { "full" }
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_6.json");
-    std::fs::write(path, &json).expect("write BENCH_6.json");
-    println!("wrote {path}");
+    audex_bench::write_report("BENCH_6.json", quick, &json);
     println!(
         "worst-case ingest qps (any subscriber mix) retains {:.0}% of the \
          no-subscriber baseline; audit byte-identical under faults: {identical}",

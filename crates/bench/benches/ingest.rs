@@ -15,10 +15,14 @@
 //!   build (same length, same verdict on the standard audit).
 //! * `dispatch_scaling` (B15) — throughput at 64/256/1024 standing audits
 //!   through the dispatch index, with the probe/prune/shortlist counters
-//!   per row, against a `scan_all` contrast row at the smallest count.
-//!   Before any timing, two differential gates assert the indexed path is
-//!   byte-identical to scan-all: on the paper's Tables 1–3 workload and
-//!   (full mode) on the generated hospital workload.
+//!   per row. (The committed `BENCH_7.json` also carries a scan-all
+//!   contrast row, measured at commit `3b68412` while a daemon could still
+//!   be started in that mode; scan-all is now only the
+//!   `OnlineAuditor::observe_scan_all` test reference and is no longer
+//!   timed.) Before any timing, two differential gates assert `observe` is
+//!   identical to that reference — every query's scores and the final
+//!   batch states: on the paper's Tables 1–3 workload and on the generated
+//!   hospital workload.
 //!
 //! Run `cargo bench -p audex-bench --bench ingest` for real measurements or
 //! `-- --test` for the CI smoke variant (256 standing audits, one pass,
@@ -28,10 +32,11 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use audex_bench::{all_time, scenario, scenario_with_zones, Scenario};
-use audex_core::{Governor, TouchIndex};
+use audex_core::{AuditEngine, Governor, OnlineAuditor, TouchIndex};
+use audex_log::{LoggedQuery, QueryLog};
 use audex_service::{Json, Request, ServiceConfig, ServiceCore};
-use audex_sql::parse_audit;
-use audex_storage::JoinStrategy;
+use audex_sql::{parse_audit, Timestamp};
+use audex_storage::{Database, JoinStrategy};
 use audex_workload::datagen::zip_of_zone;
 use audex_workload::paper::{paper_database, paper_query_log};
 
@@ -82,11 +87,9 @@ fn standing_audit(k: usize) -> String {
     all_time(expr).to_string()
 }
 
-/// A core over the scenario's database with `audits` standing audits, in
-/// either dispatch mode.
-fn dispatch_core(s: Scenario, audits: usize, scan_all: bool) -> ServiceCore {
-    let config = ServiceConfig { scan_all_audits: scan_all, ..Default::default() };
-    let mut core = ServiceCore::new(s.db, config);
+/// A core over the scenario's database with `audits` standing audits.
+fn dispatch_core(s: Scenario, audits: usize) -> ServiceCore {
+    let mut core = ServiceCore::new(s.db, ServiceConfig::default());
     for k in 0..audits {
         let resp = core
             .handle(Request::Register {
@@ -126,68 +129,70 @@ fn timed_ingest(
     (secs, qps)
 }
 
-/// Differential gate: ingest the same entries through an indexed and a
-/// scan-all core; every `log` response (scores included) and every final
-/// `audit` report must be byte-identical.
-fn assert_byte_identical(
-    indexed: &mut ServiceCore,
-    oracle: &mut ServiceCore,
-    entries: &[std::sync::Arc<audex_log::LoggedQuery>],
-    audit_names: &[String],
+/// Differential gate: two auditors holding the same prepared audits observe
+/// the same entries, one through `observe`, one through the
+/// `observe_scan_all` reference; every query's scores and the final batch
+/// states must be equal.
+fn assert_observe_matches_scan_all(
+    db: &Database,
+    audits: &[String],
+    now: Timestamp,
+    entries: &[std::sync::Arc<LoggedQuery>],
     label: &str,
 ) {
+    let log = QueryLog::new();
+    let engine = AuditEngine::new(db, &log);
+    let prepared: Vec<_> = audits
+        .iter()
+        .map(|text| {
+            let expr = parse_audit(text).expect("audit parses");
+            engine.prepare(&expr, now).expect("audit prepares")
+        })
+        .collect();
+    let mut indexed = OnlineAuditor::new(prepared.clone());
+    let mut reference = OnlineAuditor::new(prepared);
     for e in entries {
-        let a = indexed.handle(log_request(e)).response.to_string();
-        let b = oracle.handle(log_request(e)).response.to_string();
-        assert_eq!(a, b, "{label}: indexed vs scan-all diverge on {:?}", e.text);
+        let a = indexed.observe(db, e).expect("observe");
+        let b = reference.observe_scan_all(db, e).expect("observe_scan_all");
+        assert_eq!(a, b, "{label}: observe vs scan-all diverge on {:?}", e.text);
     }
-    for name in audit_names {
-        let a = indexed.handle(Request::Audit { name: name.clone() }).response.to_string();
-        let b = oracle.handle(Request::Audit { name: name.clone() }).response.to_string();
-        assert_eq!(a, b, "{label}: audit report for {name:?} diverges");
-    }
+    assert_eq!(
+        indexed.export_states(),
+        reference.export_states(),
+        "{label}: final batch states diverge"
+    );
     println!(
-        "differential gate [{label}]: {} log responses and {} audit reports byte-identical",
+        "differential gate [{label}]: {} queries x {} audits, scores and batch states identical",
         entries.len(),
-        audit_names.len()
+        audits.len()
     );
 }
 
 /// The Tables 1–3 gate: the paper's running example (its three relations,
 /// its Figure audits — context filters, user identities, value and
-/// indispensable modes — and its example log) through both dispatch modes.
+/// indispensable modes — and its example log).
 fn paper_differential_gate() {
     use audex_workload::paper::{
         FIG1_AGRAWAL, FIG2_AUDIT_EXPRESSION_1, FIG3_AUDIT_EXPRESSION_2, FIG6_SEMANTIC,
         FIG7_FULL_GRAMMAR,
     };
-    let figures = [
-        ("fig1", FIG1_AGRAWAL),
-        ("fig2", FIG2_AUDIT_EXPRESSION_1),
-        ("fig3", FIG3_AUDIT_EXPRESSION_2),
-        ("fig6", FIG6_SEMANTIC),
-        ("fig7", FIG7_FULL_GRAMMAR),
-    ];
-    let now = audex_workload::paper::paper_now();
-    let mut cores: Vec<ServiceCore> = [false, true]
-        .iter()
-        .map(|&scan_all| {
-            let config = ServiceConfig { scan_all_audits: scan_all, ..Default::default() };
-            let mut core = ServiceCore::new(paper_database(), config);
-            for (name, text) in &figures {
-                let expr = all_time(parse_audit(text).expect("figure audit parses")).to_string();
-                let resp = core
-                    .handle(Request::Register { name: (*name).into(), expr, now: Some(now) })
-                    .response;
-                assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "register {name}: {resp}");
-            }
-            core
-        })
-        .collect();
-    let entries = paper_query_log().snapshot();
-    let names: Vec<String> = figures.iter().map(|(n, _)| (*n).to_string()).collect();
-    let (mut oracle, mut indexed) = (cores.pop().expect("oracle"), cores.pop().expect("indexed"));
-    assert_byte_identical(&mut indexed, &mut oracle, &entries, &names, "paper Tables 1-3");
+    let audits: Vec<String> = [
+        FIG1_AGRAWAL,
+        FIG2_AUDIT_EXPRESSION_1,
+        FIG3_AUDIT_EXPRESSION_2,
+        FIG6_SEMANTIC,
+        FIG7_FULL_GRAMMAR,
+    ]
+    .iter()
+    .map(|text| all_time(parse_audit(text).expect("figure audit parses")).to_string())
+    .collect();
+    assert_observe_matches_scan_all(
+        &paper_database(),
+        &audits,
+        audex_workload::paper::paper_now(),
+        &paper_query_log().snapshot(),
+        "paper Tables 1-3",
+    );
 }
 
 fn main() {
@@ -320,37 +325,29 @@ fn main() {
          \"rebuild_growth_4x_log\": {reb_growth:.3},\n  \"rows\": [\n{rows}\n  ]\n}}\n",
         if quick { "quick" } else { "full" }
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_3.json");
-    std::fs::write(path, &json).expect("write BENCH_3.json");
-    println!("wrote {path}");
+    audex_bench::write_report("BENCH_3.json", quick, &json);
     println!(
         "per-query maintenance over a 4x log growth: incremental {inc_growth:.2}x, \
          from-scratch rebuild {reb_growth:.2}x"
     );
 
     // --- Experiment 3 (B15): dispatch-index scaling. --------------------
-    // Correctness gates first: both workloads byte-identical across modes.
+    // Correctness gates first: both workloads identical to the reference.
     paper_differential_gate();
     {
         let audits = cfg.dispatch_audit_counts[0];
-        let build = || {
-            scenario_with_zones(
-                cfg.dispatch_zones,
-                cfg.dispatch_queries.min(200),
-                0.08,
-                42,
-                cfg.dispatch_zones,
-            )
-        };
-        let entries = build().log.snapshot();
-        let names: Vec<String> = (0..audits).map(|k| format!("zone-{k}")).collect();
-        let mut indexed = dispatch_core(build(), audits, false);
-        let mut oracle = dispatch_core(build(), audits, true);
-        assert_byte_identical(
-            &mut indexed,
-            &mut oracle,
-            &entries,
-            &names,
+        let s = scenario_with_zones(
+            cfg.dispatch_zones,
+            cfg.dispatch_queries.min(200),
+            0.08,
+            42,
+            cfg.dispatch_zones,
+        );
+        assert_observe_matches_scan_all(
+            &s.db,
+            &(0..audits).map(standing_audit).collect::<Vec<_>>(),
+            s.now,
+            &s.log.snapshot(),
             &format!("hospital workload, {audits} audits"),
         );
     }
@@ -366,7 +363,7 @@ fn main() {
             cfg.dispatch_zones,
         );
         let entries = s.log.snapshot();
-        let mut core = dispatch_core(s, audits, false);
+        let mut core = dispatch_core(s, audits);
         let (secs, qps) = timed_ingest(&mut core, &entries);
         largest_qps = qps;
         let stats = core.handle(Request::Stats).response;
@@ -409,38 +406,10 @@ fn main() {
         );
     }
 
-    // Scan-all contrast at the smallest count — the linear baseline the
-    // index is measured against (kept small: the oracle is the slow path).
-    {
-        let audits = cfg.dispatch_audit_counts[0];
-        let s = scenario_with_zones(
-            cfg.dispatch_zones,
-            cfg.dispatch_queries,
-            0.08,
-            42,
-            cfg.dispatch_zones,
-        );
-        let entries = s.log.snapshot();
-        let mut core = dispatch_core(s, audits, true);
-        let (secs, qps) = timed_ingest(&mut core, &entries);
-        println!(
-            "dispatch_scan_all audits={audits} queries={} secs={secs:.4} qps={qps:.0}",
-            entries.len()
-        );
-        let _ = writeln!(
-            rows7,
-            "    {{\"experiment\": \"dispatch_scan_all\", \"audits\": {audits}, \
-             \"queries\": {}, \"secs\": {secs:.6}, \"qps\": {qps:.1}}},",
-            entries.len()
-        );
-    }
-
     let rows7 = rows7.trim_end().trim_end_matches(',');
     let json7 = format!(
         "{{\n  \"bench\": \"dispatch\",\n  \"mode\": \"{}\",\n  \"rows\": [\n{rows7}\n  ]\n}}\n",
         if quick { "quick" } else { "full" }
     );
-    let path7 = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_7.json");
-    std::fs::write(path7, &json7).expect("write BENCH_7.json");
-    println!("wrote {path7}");
+    audex_bench::write_report("BENCH_7.json", quick, &json7);
 }

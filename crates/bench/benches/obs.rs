@@ -125,9 +125,7 @@ fn main() {
          \"rows\": [\n{rows}\n  ]\n}}\n",
         if quick { "quick" } else { "full" }
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_5.json");
-    std::fs::write(path, &json).expect("write BENCH_5.json");
-    println!("wrote {path}");
+    audex_bench::write_report("BENCH_5.json", quick, &json);
     println!("telemetry overhead: {overhead_pct:.2}% of audit wall-clock (target < 3%)");
     assert!(
         overhead_pct < 3.0,

@@ -245,9 +245,7 @@ fn main() {
         rec.tenants,
         rec.secs,
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_8.json");
-    std::fs::write(path, &json).expect("write BENCH_8.json");
-    println!("wrote {path}");
+    audex_bench::write_report("BENCH_8.json", quick, &json);
     println!(
         "splitting a fixed load across tenants reached {best_speedup:.2}x the single-tenant \
          throughput; {} tenants recovered in {:.3}s",

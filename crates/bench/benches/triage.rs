@@ -212,7 +212,5 @@ fn main() {
         "{{\n  \"bench\": \"triage\",\n  \"mode\": \"{}\",\n  \"rows\": [\n{rows}\n  ]\n}}\n",
         if quick { "quick" } else { "full" }
     );
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_9.json");
-    std::fs::write(path, &json).expect("write BENCH_9.json");
-    println!("wrote {path}");
+    audex_bench::write_report("BENCH_9.json", quick, &json);
 }

@@ -22,6 +22,19 @@ use audex_workload::{
     QueryMixConfig,
 };
 
+/// Writes one bench report. A full run updates the committed evidence at
+/// the workspace root (`BENCH_N.json`); a quick (`--test`) smoke writes
+/// under `target/bench-smoke/` instead, so neither CI nor a builder
+/// verifying a change overwrites the committed full-mode rows.
+pub fn write_report(file: &str, quick: bool, json: &str) {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../..");
+    let dir = if quick { root.join("target/bench-smoke") } else { root };
+    std::fs::create_dir_all(&dir).expect("create the report directory");
+    let path = dir.join(file);
+    std::fs::write(&path, json).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+    println!("wrote {}", path.display());
+}
+
 /// A ready-to-audit scenario: hospital, log with planted violations, audit.
 pub struct Scenario {
     /// The database.

@@ -74,16 +74,6 @@ impl std::fmt::Display for AuditId {
     }
 }
 
-/// Whether `observe` probes the dispatch index or scans every audit.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum DispatchMode {
-    /// Probe the index and evaluate only the shortlist (the default).
-    #[default]
-    Indexed,
-    /// Evaluate every registered audit — the differential oracle.
-    ScanAll,
-}
-
 /// Monotonic counters describing the index's pruning work, exported in
 /// service `stats` and mirrored to `audex_dispatch_*` metric series.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -69,7 +69,7 @@ pub use candidate::BaseColumn;
 pub use candidate::CandidateChecker;
 pub use catalog::{base_name, AuditScope};
 pub use compliance::{assess, suggest_limits, AccessClass, Assessment};
-pub use dispatch::{AuditId, DispatchIndex, DispatchMode, DispatchStats};
+pub use dispatch::{AuditId, DispatchIndex, DispatchStats};
 pub use engine::{AuditEngine, AuditMode, AuditReport, EngineObs, EngineOptions, PreparedAudit};
 pub use error::AuditError;
 pub use governor::{AuditPhase, Governor, ResourceLimits};

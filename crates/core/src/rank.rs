@@ -10,11 +10,11 @@
 //! Audits are addressed by **stable ids** ([`AuditId`]): ids survive
 //! [`OnlineAuditor::remove`], so holders (service registrations,
 //! checkpoints, verdict events) never mis-address state when an earlier
-//! audit is unregistered. Scoring runs in one of two modes
-//! ([`DispatchMode`]): the default probes the [`crate::dispatch`] index and
-//! evaluates only the shortlisted audits; `ScanAll` evaluates every audit
-//! and serves as the differential oracle — both produce bit-identical
-//! scores and batch state.
+//! audit is unregistered. [`OnlineAuditor::observe`] probes the
+//! [`crate::dispatch`] index and evaluates only the shortlisted audits;
+//! [`OnlineAuditor::observe_scan_all`] is the reference tests compare it
+//! against — every audit, one execution each, bit-identical scores and
+//! batch state.
 
 use audex_storage::{Database, JoinStrategy};
 use std::collections::{BTreeMap, BTreeSet};
@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use crate::attrspec::ResolvedColumn;
 use crate::candidate::BaseColumn;
-use crate::dispatch::{AuditId, DispatchIndex, DispatchMode, DispatchStats};
+use crate::dispatch::{AuditId, DispatchIndex, DispatchStats};
 use crate::engine::PreparedAudit;
 use crate::error::AuditError;
 use crate::granule::binomial;
@@ -40,9 +40,9 @@ const EVIDENCE_SAMPLE: usize = 16;
 /// the query touched or exposed and which audit-relevant columns it
 /// accessed. Extracted from the same [`QueryContribution`] (and therefore
 /// the same shared execution) that produced the score, so carrying it costs
-/// no extra query run. Deterministic: identical across dispatch modes and
-/// thread counts, because it is derived purely from the contribution's
-/// ordered sets.
+/// no extra query run. Deterministic: identical at any thread count and
+/// against the scan-all reference, because it is derived purely from the
+/// contribution's ordered sets.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ScoreEvidence {
     /// Facts of `U` the query shared an indispensable tuple with.
@@ -114,7 +114,6 @@ pub struct OnlineAuditor {
     next_id: u64,
     strategy: JoinStrategy,
     dispatch: DispatchIndex,
-    mode: DispatchMode,
 }
 
 impl OnlineAuditor {
@@ -125,7 +124,6 @@ impl OnlineAuditor {
             next_id: 0,
             strategy: JoinStrategy::Auto,
             dispatch: DispatchIndex::default(),
-            mode: DispatchMode::default(),
         };
         for a in audits {
             oa.push(a);
@@ -204,11 +202,6 @@ impl OnlineAuditor {
         self.entries.len()
     }
 
-    /// Selects how [`OnlineAuditor::observe`] finds candidate audits.
-    pub fn set_mode(&mut self, mode: DispatchMode) {
-        self.mode = mode;
-    }
-
     /// Sets the join strategy used for query executions. An owner that
     /// also maintains a [`crate::TouchIndex`] must pass the same strategy
     /// it indexes with, so the shared execution behind
@@ -216,11 +209,6 @@ impl OnlineAuditor {
     /// index would have computed itself.
     pub fn set_strategy(&mut self, strategy: JoinStrategy) {
         self.strategy = strategy;
-    }
-
-    /// The active dispatch mode.
-    pub fn mode(&self) -> DispatchMode {
-        self.mode
     }
 
     /// A copy of the dispatch index's pruning counters, with the per-audit
@@ -247,10 +235,7 @@ impl OnlineAuditor {
         db: &Database,
         q: &Arc<LoggedQuery>,
     ) -> Result<Vec<QueryScore>, AuditError> {
-        match self.mode {
-            DispatchMode::ScanAll => self.observe_scan_all(db, q),
-            DispatchMode::Indexed => Ok(self.observe_indexed(db, q, false).0),
-        }
+        Ok(self.observe_indexed(db, q, false).0)
     }
 
     /// [`OnlineAuditor::observe`] that additionally returns the query's
@@ -258,29 +243,20 @@ impl OnlineAuditor {
     /// This is the streaming-ingest fast path: the service needs both the
     /// scores and the touch-index footprint for every logged query, and
     /// executing the query once instead of twice roughly doubles sustained
-    /// ingest throughput. In `ScanAll` mode (the differential oracle) the
-    /// footprint is computed by a separate execution, exactly like the
-    /// pre-dispatch service loop, so the oracle stays a faithful baseline.
-    /// `None` marks a query the touch index would skip (unresolvable scope
-    /// or failed execution).
+    /// ingest throughput. `None` marks a query the touch index would skip
+    /// (unresolvable scope or failed execution).
     pub fn observe_with_footprint(
         &mut self,
         db: &Database,
         q: &Arc<LoggedQuery>,
     ) -> Result<(Vec<QueryScore>, Option<QueryFootprint>), AuditError> {
-        match self.mode {
-            DispatchMode::ScanAll => {
-                let scores = self.observe_scan_all(db, q)?;
-                let mut shared = SharedQueryState::new(db, q);
-                let fp = shared.footprint(db, q, self.strategy);
-                Ok((scores, fp))
-            }
-            DispatchMode::Indexed => Ok(self.observe_indexed(db, q, true)),
-        }
+        Ok(self.observe_indexed(db, q, true))
     }
 
-    /// The differential oracle: evaluates every registered audit.
-    fn observe_scan_all(
+    /// Reference: every audit, one execution each; tests compare
+    /// [`OnlineAuditor::observe`] against it. Nothing in the service or the
+    /// CLI calls this.
+    pub fn observe_scan_all(
         &mut self,
         db: &Database,
         q: &Arc<LoggedQuery>,
@@ -294,9 +270,9 @@ impl OnlineAuditor {
             }
             let evaluator =
                 BatchEvaluator::new(db, &prepared.scope, &prepared.model, &prepared.view, strategy);
-            // One fresh execution per audit (the oracle stays the faithful
-            // slow baseline), but the fact-probe maps are per-audit and
-            // query-independent, so both modes share the entry's cache.
+            // One fresh execution per audit (the reference stays the
+            // faithful slow baseline), but the fact-probe maps are per-audit
+            // and query-independent, so it uses the entry's cache too.
             let mut shared = SharedQueryState::new(db, q);
             let contrib = match evaluator.try_contribution_with(q, &mut shared, probe) {
                 Ok(Some(c)) => c,
@@ -454,7 +430,7 @@ impl OnlineAuditor {
 }
 
 /// Scores one non-empty contribution and folds it into the batch state —
-/// the single scoring rule both dispatch modes share.
+/// the single scoring rule `observe` and the scan-all reference share.
 fn score_and_update(
     id: AuditId,
     prepared: &PreparedAudit,
@@ -697,10 +673,9 @@ mod tests {
         ];
         let mut indexed = auditor(&db, &exprs);
         let mut scan = auditor(&db, &exprs);
-        scan.set_mode(DispatchMode::ScanAll);
         for lq in &queries {
             let a = indexed.observe(&db, lq).unwrap();
-            let b = scan.observe(&db, lq).unwrap();
+            let b = scan.observe_scan_all(&db, lq).unwrap();
             assert_eq!(a, b, "scores diverge on {}", lq.text);
         }
         assert_eq!(indexed.export_states(), scan.export_states());

@@ -1,16 +1,18 @@
-//! Differential property tests on the standing-audit dispatch index: the
-//! indexed `observe` path must be byte-identical to the scan-all oracle —
+//! Differential property tests on the standing-audit dispatch index:
+//! `observe` must be byte-identical to the `observe_scan_all` reference —
 //! same `QueryScore`s in the same order, same batch states — under random
-//! register/unregister interleavings, and the batch engine's reports over
-//! the same scenarios are identical at 1 and 4 threads.
+//! register/unregister interleavings, its shared-execution footprint must
+//! equal the one `TouchIndex::extend` computes on its own, and the batch
+//! engine's reports over the same scenarios are identical at 1 and 4
+//! threads.
 
 use audex_core::{
-    AuditEngine, DispatchMode, EngineOptions, OnlineAuditor, PreparedAudit, QueryScore,
+    AuditEngine, EngineOptions, Governor, OnlineAuditor, PreparedAudit, QueryScore, TouchIndex,
 };
 use audex_log::{AccessContext, LoggedQuery, QueryId, QueryLog};
 use audex_sql::ast::{TimeInterval, TsSpec, TypeName};
 use audex_sql::{parse_audit, parse_query, Ident, Timestamp};
-use audex_storage::{Database, Schema};
+use audex_storage::{Database, JoinStrategy, Schema};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -132,16 +134,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// Differential: the dispatch-indexed observe path is byte-identical to
-    /// the scan-all oracle under random register/unregister interleavings —
-    /// per-query scores, final batch states, rankings, and ids all agree,
-    /// while the index demonstrably prunes work.
+    /// the scan-all reference under random register/unregister
+    /// interleavings — per-query scores and footprints, final batch states,
+    /// rankings, and ids all agree, while the index demonstrably prunes
+    /// work.
     #[test]
     fn indexed_observe_matches_scan_all(s in scenario_strategy()) {
         let db = build_db(&s.rows);
         let mut indexed = OnlineAuditor::new(Vec::new());
         let mut oracle = OnlineAuditor::new(Vec::new());
-        oracle.set_mode(DispatchMode::ScanAll);
-        prop_assert_eq!(indexed.mode(), DispatchMode::Indexed);
+        // The index fed from `observe`'s shared execution, and the one that
+        // executes every query itself.
+        let mut shared_index = TouchIndex::new();
+        let mut own_index = TouchIndex::new();
 
         let mut registered = Vec::new();
         let mut evaluated_any = false;
@@ -163,10 +168,16 @@ proptest! {
                 }
                 Op::Query(t) => {
                     let q = logged(i, &query_text(*t, i));
-                    let a: Vec<QueryScore> = indexed.observe(&db, &q).unwrap();
-                    let b: Vec<QueryScore> = oracle.observe(&db, &q).unwrap();
+                    let (a, footprint) = indexed.observe_with_footprint(&db, &q).unwrap();
+                    let b: Vec<QueryScore> = oracle.observe_scan_all(&db, &q).unwrap();
                     prop_assert_eq!(&a, &b, "scores diverge at op {} ({:?})", i, op);
                     evaluated_any = evaluated_any || !a.is_empty();
+                    shared_index.extend_prepared(q.id, footprint);
+                    own_index.extend(&db, &q, JoinStrategy::Auto, &Governor::unlimited()).unwrap();
+                    prop_assert_eq!(
+                        shared_index.export(), own_index.export(),
+                        "footprint diverges at op {} ({:?})", i, op
+                    );
                 }
             }
         }
@@ -178,7 +189,7 @@ proptest! {
             prop_assert!((indexed.degree(id) - oracle.degree(id)).abs() == 0.0);
             prop_assert_eq!(indexed.contributing(id), oracle.contributing(id));
         }
-        // The oracle never probes; the index probes once per observed query.
+        // The reference never probes; the index probes once per observed query.
         let queries = s.ops.iter().filter(|o| matches!(o, Op::Query(_))).count() as u64;
         prop_assert_eq!(indexed.dispatch_stats().probes, queries);
         prop_assert_eq!(oracle.dispatch_stats().probes, 0);
@@ -186,14 +197,20 @@ proptest! {
             prop_assert!(indexed.dispatch_stats().shortlisted > 0);
         }
 
-        // The online ranking (which re-observes a fresh batch) agrees too.
+        // The online ranking (which re-observes a fresh batch) agrees with
+        // total closeness per query from the reference, descending.
         let batch: Vec<_> = (0..3)
             .map(|k| logged(s.ops.len() + k, &query_text(k as u8, s.ops.len() + k)))
             .collect();
-        prop_assert_eq!(
-            indexed.ranking(&db, &batch).unwrap(),
-            oracle.ranking(&db, &batch).unwrap()
-        );
+        let mut expected: Vec<(QueryId, f64)> = batch
+            .iter()
+            .map(|q| {
+                let scores = oracle.observe_scan_all(&db, q).unwrap();
+                (q.id, scores.iter().map(|s| s.closeness).sum())
+            })
+            .collect();
+        expected.sort_by(|a, b| b.1.partial_cmp(&a.1).unwrap().then(a.0.cmp(&b.0)));
+        prop_assert_eq!(indexed.ranking(&db, &batch).unwrap(), expected);
     }
 
     /// The batch engine over the same scenarios reports byte-identically at

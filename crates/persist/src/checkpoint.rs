@@ -40,9 +40,9 @@ pub const CHECKPOINTS_KEPT: usize = 2;
 /// version stores plus the clock. Recovery restores it directly
 /// (`Database::from_mvcc_stores`) instead of re-applying the covered
 /// prefix's DML record by record, so recovery cost stops scaling with the
-/// change history. Absent for replay-mode services and for checkpoints
-/// written before this field existed — both fall back to record-by-record
-/// rebuild.
+/// change history. Absent in checkpoints written before this field existed
+/// or by a daemon running the since-removed replay engine — those fall
+/// back to record-by-record rebuild.
 #[derive(Debug, Clone, PartialEq)]
 pub struct DbSnapshot {
     /// The database clock (latest committed instant) at checkpoint time.
@@ -71,7 +71,8 @@ pub struct CheckpointState {
     /// Review-queue items (with their ack/dismiss states), in ascending
     /// query-id order.
     pub triage: Vec<TriageItem>,
-    /// The MVCC database snapshot, when the service runs in MVCC mode.
+    /// The database snapshot; `None` only in checkpoints older stores
+    /// hold (see [`DbSnapshot`]).
     pub db: Option<DbSnapshot>,
 }
 

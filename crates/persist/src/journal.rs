@@ -65,8 +65,9 @@ pub struct CheckpointDerived {
     pub counters: [u64; 5],
     /// Review-queue items, in ascending query-id order.
     pub triage: Vec<TriageItem>,
-    /// The MVCC database snapshot (`None` for replay-mode services, which
-    /// recover their database record by record).
+    /// The database snapshot. Every checkpoint this build writes carries
+    /// one; the `Option` is frozen API (the `ledger/` package constructs
+    /// this struct) and what a pre-snapshot checkpoint decodes to.
     pub db: Option<DbSnapshot>,
 }
 

@@ -30,14 +30,15 @@ use std::path::PathBuf;
 use std::sync::Arc;
 
 use audex_core::{
-    AuditEngine, AuditError, AuditId, AuditPhase, DispatchMode, EngineObs, EngineOptions, Governor,
-    OnlineAuditor, ResourceLimits, TouchIndex,
+    AuditEngine, AuditError, AuditId, AuditPhase, EngineObs, EngineOptions, Governor,
+    OnlineAuditor, PreparedAudit, ResourceLimits, TouchIndex,
 };
 use audex_log::{AccessContext, LoggedQuery, QueryId, QueryLog};
 use audex_obs::{Counter, Gauge, Histogram, Registry, Tracer};
 use audex_persist::{CheckpointDerived, DbSnapshot, Journal, PersistError, Recovered, WalRecord};
+use audex_sql::ast::AuditExpr;
 use audex_sql::{Ident, Timestamp};
-use audex_storage::{ChangeSink, Database, JoinStrategy, StorageMode};
+use audex_storage::{ChangeSink, Database, JoinStrategy};
 use audex_triage::{fnv1a64, RedactedScore, ReviewQueue, ReviewState};
 
 use crate::json::{obj, Json};
@@ -51,7 +52,9 @@ pub struct ServiceConfig {
     pub limits: ResourceLimits,
     /// Join strategy for footprints and scoring.
     pub strategy: JoinStrategy,
-    /// Worker threads for batch work (preloading an existing log).
+    /// Worker threads for the fleet's `audit --all-tenants` fan-out
+    /// (`ShardMap::audit_all`). Nothing under [`ServiceCore::handle`]
+    /// reads it: one core serves one request at a time.
     pub parallelism: usize,
     /// With a journal attached: write a checkpoint once this many records
     /// accumulate past the newest one. `None` disables auto-checkpointing
@@ -61,9 +64,6 @@ pub struct ServiceConfig {
     /// queries. `None` disables periodic metrics events (the `metrics`
     /// request still answers on demand).
     pub metrics_every: Option<u64>,
-    /// Score every standing audit on every logged query instead of probing
-    /// the dispatch index — the differential oracle (`--scan-all-audits`).
-    pub scan_all_audits: bool,
     /// Keep raw SQL out of durable storage (`--redact-log`): the journal's
     /// log sink is suppressed and each accepted append is journaled as
     /// structural metadata plus a hash instead.
@@ -71,9 +71,6 @@ pub struct ServiceConfig {
     /// Auditor review budget: the default page size of the `queue` command
     /// (`--review-budget`). `None` falls back to 10.
     pub review_budget: Option<u64>,
-    /// Version-history representation: MVCC tuple store by default, backlog
-    /// replay as the differential oracle (`--storage replay`).
-    pub storage: StorageMode,
 }
 
 /// Monotonic counters surfaced by the `stats` command. A point-in-time
@@ -223,16 +220,7 @@ pub struct ServiceCore {
 impl ServiceCore {
     /// A service over a starting database (possibly empty) and an empty
     /// log.
-    pub fn new(db: Database, config: ServiceConfig) -> ServiceCore {
-        // An empty starting database takes the configured storage mode, so
-        // every `ServiceCore::new(Database::new(), config)` call site —
-        // including tenant shards — honors `--storage` without plumbing.
-        // A non-empty database keeps whatever mode built it.
-        let mut db = if db.table_names().is_empty() && db.storage_mode() != config.storage {
-            Database::with_mode(config.storage)
-        } else {
-            db
-        };
+    pub fn new(mut db: Database, config: ServiceConfig) -> ServiceCore {
         let registry = Registry::new();
         let tracer = Tracer::disabled();
         db.set_obs(&registry);
@@ -245,9 +233,6 @@ impl ServiceCore {
         // The auditor's shared execution doubles as the touch-index
         // footprint, so it must run with the index's join strategy.
         online.set_strategy(config.strategy);
-        if config.scan_all_audits {
-            online.set_mode(DispatchMode::ScanAll);
-        }
         ServiceCore {
             db,
             log,
@@ -442,16 +427,15 @@ impl ServiceCore {
 
         if let Some(ck) = &mut recovered.checkpoint {
             // Phase A: rebuild raw state; skip all derived computation.
-            // With an MVCC snapshot the covered DML is never re-applied —
-            // the version stores restore wholesale and only the log/audit
-            // records are walked — so this phase stops scaling with the
-            // length of the change history.
-            match (ck.db.take(), config.storage) {
-                (Some(snap), StorageMode::Mvcc) => {
-                    core.restore_snapshot_prefix(snap, &ck.records)?;
-                }
-                (snap, _) => {
-                    ck.db = snap; // replay mode leaves the snapshot in place
+            // With a version-store snapshot the covered DML is never
+            // re-applied — the stores restore wholesale and only the
+            // log/audit records are walked — so this phase stops scaling
+            // with the length of the change history. A checkpoint without
+            // one (written before snapshots existed, or by a daemon running
+            // the since-removed replay engine) rebuilds record by record.
+            match ck.db.take() {
+                Some(snap) => core.restore_snapshot_prefix(snap, &ck.records)?,
+                None => {
                     for (seq, rec) in ck.records.iter().enumerate() {
                         core.replay_record(rec, seq as u64, false)?;
                     }
@@ -488,8 +472,9 @@ impl ServiceCore {
     /// saw — never re-applied. Log appends still repopulate the query log
     /// in order, and each registration re-prepares at its recorded `now`
     /// against an O(prefix) [`Database::fork_prefix`] fork of the restored
-    /// stores (or the restored database itself when no DML follows it):
-    /// identical inputs, so an identical prepared audit.
+    /// stores (or, through [`ServiceCore::replay_record`], the restored
+    /// database itself when no DML follows it): identical inputs, so an
+    /// identical prepared audit.
     fn restore_snapshot_prefix(
         &mut self,
         snap: DbSnapshot,
@@ -525,35 +510,20 @@ impl ServiceCore {
                     *counts.entry(table.clone()).or_insert(0) += 1;
                     clock = clock.max(rec.ts);
                 }
-                WalRecord::Register { name, expr, now } => {
+                WalRecord::Register { name, expr, now } if dml_after[seq] => {
                     let parsed = audex_sql::parse_audit(expr).map_err(|e| fail(&e))?;
-                    let governor = Governor::unlimited();
-                    let fork;
-                    let db = if dml_after[seq] {
-                        fork = self.db.fork_prefix(&counts, clock).map_err(|e| fail(&e))?;
-                        &fork
-                    } else {
-                        &self.db
-                    };
-                    let prepared = {
-                        let engine = AuditEngine::with_options(
-                            db,
-                            &self.log,
-                            EngineOptions { strategy: self.config.strategy, ..Default::default() },
-                        )
-                        .with_obs(self.engine_obs.clone());
-                        engine.prepare_governed(&parsed, *now, &governor).map_err(|e| fail(&e))?
-                    };
-                    if dml_after[seq] {
-                        // The fork's reads are the ones the live run charged
-                        // to the primary database.
-                        self.db.absorb_scan(db.mvcc_scan_stats());
-                    }
-                    let id = self.online.push(prepared);
-                    self.registered.push(RegisteredAudit { name: name.clone(), id });
+                    let fork = self.db.fork_prefix(&counts, clock).map_err(|e| fail(&e))?;
+                    let prepared = self
+                        .prepare_audit(&fork, &parsed, *now, &Governor::unlimited())
+                        .map_err(|e| fail(&e))?;
+                    // The fork's reads are the ones the live run charged to
+                    // the primary database.
+                    self.db.absorb_scan(fork.mvcc_scan_stats());
+                    self.install_audit(name.clone(), prepared);
                 }
-                // Everything else behaves exactly as checkpointed-prefix
-                // replay always has (derived state restores separately).
+                // Everything else (a registration no DML follows included)
+                // behaves exactly as checkpointed-prefix replay always has
+                // (derived state restores separately).
                 other => self.replay_record(other, seq as u64, false)?,
             }
         }
@@ -629,30 +599,18 @@ impl ServiceCore {
             }
             WalRecord::Register { name, expr, now } => {
                 let parsed = audex_sql::parse_audit(expr).map_err(|e| fail(&e))?;
-                let governor = Governor::unlimited();
-                let prepared = {
-                    let engine = AuditEngine::with_options(
-                        &self.db,
-                        &self.log,
-                        EngineOptions { strategy: self.config.strategy, ..Default::default() },
-                    )
-                    .with_obs(self.engine_obs.clone());
-                    engine.prepare_governed(&parsed, *now, &governor).map_err(|e| fail(&e))?
-                };
+                let prepared = self
+                    .prepare_audit(&self.db, &parsed, *now, &Governor::unlimited())
+                    .map_err(|e| fail(&e))?;
                 // Every successful registration (and only those) is
                 // journaled, so replay walks the same push sequence and
                 // assigns the same stable ids as the live run.
-                let id = self.online.push(prepared);
-                self.registered.push(RegisteredAudit { name: name.clone(), id });
+                self.install_audit(name.clone(), prepared);
             }
             WalRecord::Unregister { name } => {
-                let idx = self
-                    .registered
-                    .iter()
-                    .position(|r| &r.name == name)
-                    .ok_or_else(|| fail(&format!("unregister of unknown audit {name:?}")))?;
-                let reg = self.registered.remove(idx);
-                self.online.remove(reg.id);
+                if !self.remove_audit(name) {
+                    return Err(fail(&format!("unregister of unknown audit {name:?}")));
+                }
             }
             // Review decisions feed the queue only on tail replay: the
             // checkpointed prefix restores its queue (states included)
@@ -1042,23 +1000,14 @@ impl ServiceCore {
         };
         let now = now.unwrap_or_else(|| self.latest_instant());
         let governor = Governor::arm(&self.config.limits);
-        let prepared = {
-            let engine = AuditEngine::with_options(
-                &self.db,
-                &self.log,
-                EngineOptions { strategy: self.config.strategy, ..Default::default() },
-            )
-            .with_obs(self.engine_obs.clone());
-            match engine.prepare_governed(&parsed, now, &governor) {
-                Ok(p) => p,
-                Err(e) if is_governor_trip(&e) => return self.backpressure(&e),
-                Err(e) => return self.reject(format!("audit does not prepare: {e}")),
-            }
+        let prepared = match self.prepare_audit(&self.db, &parsed, now, &governor) {
+            Ok(p) => p,
+            Err(e) if is_governor_trip(&e) => return self.backpressure(&e),
+            Err(e) => return self.reject(format!("audit does not prepare: {e}")),
         };
         let target_size = prepared.view.len();
         let total = prepared.model.count(target_size);
-        let id = self.online.push(prepared);
-        self.registered.push(RegisteredAudit { name: name.clone(), id });
+        self.install_audit(name.clone(), prepared);
         if let Some(j) = &self.journal {
             j.record_register(&name, expr, now);
         }
@@ -1072,17 +1021,48 @@ impl ServiceCore {
     }
 
     fn handle_unregister(&mut self, name: &str) -> Outcome {
-        match self.registered.iter().position(|r| r.name == name) {
-            Some(idx) => {
-                let reg = self.registered.remove(idx);
-                self.online.remove(reg.id);
-                if let Some(j) = &self.journal {
-                    j.record_unregister(name);
-                }
-                Outcome::reply(obj([("ok", Json::Bool(true)), ("name", Json::from(name))]))
-            }
-            None => self.reject(format!("no registered audit named {name:?}")),
+        if !self.remove_audit(name) {
+            return self.reject(format!("no registered audit named {name:?}"));
         }
+        if let Some(j) = &self.journal {
+            j.record_unregister(name);
+        }
+        Outcome::reply(obj([("ok", Json::Bool(true)), ("name", Json::from(name))]))
+    }
+
+    /// Prepares a standing audit at `now` against `db` (the live database,
+    /// or recovery's fork of the state the registration originally saw).
+    /// Live `register`, WAL-tail replay and checkpoint-prefix replay all
+    /// prepare here, so they cannot drift apart.
+    fn prepare_audit(
+        &self,
+        db: &Database,
+        parsed: &AuditExpr,
+        now: Timestamp,
+        governor: &Governor,
+    ) -> Result<PreparedAudit, AuditError> {
+        AuditEngine::with_options(
+            db,
+            &self.log,
+            EngineOptions { strategy: self.config.strategy, ..Default::default() },
+        )
+        .with_obs(self.engine_obs.clone())
+        .prepare_governed(parsed, now, governor)
+    }
+
+    /// Installs a prepared audit under `name`; returns its stable id.
+    fn install_audit(&mut self, name: String, prepared: PreparedAudit) -> AuditId {
+        let id = self.online.push(prepared);
+        self.registered.push(RegisteredAudit { name, id });
+        id
+    }
+
+    /// Removes the standing audit registered under `name`; `false` when
+    /// there is none.
+    fn remove_audit(&mut self, name: &str) -> bool {
+        let Some(idx) = self.registered.iter().position(|r| r.name == name) else { return false };
+        self.online.remove(self.registered.remove(idx).id);
+        true
     }
 
     fn handle_audit(&mut self, name: &str) -> Outcome {
@@ -1308,8 +1288,11 @@ impl ServiceCore {
         let stats = self.db.snapshot_stats();
         let total_reads = stats.hits + stats.misses;
         let hit_rate = if total_reads == 0 { 0.0 } else { stats.hits as f64 / total_reads as f64 };
-        self.db.refresh_mvcc_gauges();
+        let mvcc = self.db.refresh_mvcc_gauges();
         let c = self.counters();
+        let dispatch = self.online.dispatch_stats();
+        let triage = self.triage.counts();
+        let scan = self.db.mvcc_scan_stats();
         let mut fields: Vec<(String, Json)> = [
             ("ok", Json::Bool(true)),
             ("queries_ingested", Json::from(c.queries_ingested)),
@@ -1321,55 +1304,29 @@ impl ServiceCore {
             ("index_len", Json::from(self.index.len())),
             ("index_skipped", Json::from(self.index.skipped_ids().len())),
             ("registered_audits", Json::from(self.registered.len())),
-            (
-                "dispatch_mode",
-                Json::from(match self.online.mode() {
-                    DispatchMode::Indexed => "indexed",
-                    DispatchMode::ScanAll => "scan_all",
-                }),
-            ),
-            ("dispatch_probes", Json::from(self.online.dispatch_stats().probes)),
-            ("dispatch_pruned", Json::from(self.online.dispatch_stats().pruned)),
-            ("dispatch_shortlisted", Json::from(self.online.dispatch_stats().shortlisted)),
-            ("dispatch_rebuilds", Json::from(self.online.dispatch_stats().rebuilds)),
-            (
-                "dispatch_fact_probe_builds",
-                Json::from(self.online.dispatch_stats().fact_probe_builds),
-            ),
-            ("dispatch_fact_probe_hits", Json::from(self.online.dispatch_stats().fact_probe_hits)),
-            ("triage_open", Json::from(self.triage.counts().open)),
-            ("triage_acked", Json::from(self.triage.counts().acked)),
-            ("triage_dismissed", Json::from(self.triage.counts().dismissed)),
+            ("dispatch_probes", Json::from(dispatch.probes)),
+            ("dispatch_pruned", Json::from(dispatch.pruned)),
+            ("dispatch_shortlisted", Json::from(dispatch.shortlisted)),
+            ("dispatch_rebuilds", Json::from(dispatch.rebuilds)),
+            ("dispatch_fact_probe_builds", Json::from(dispatch.fact_probe_builds)),
+            ("dispatch_fact_probe_hits", Json::from(dispatch.fact_probe_hits)),
+            ("triage_open", Json::from(triage.open)),
+            ("triage_acked", Json::from(triage.acked)),
+            ("triage_dismissed", Json::from(triage.dismissed)),
             ("backlog_ts", Json::Int(self.db.last_ts().0)),
             ("snapshot_cache_hits", Json::from(stats.hits)),
             ("snapshot_cache_misses", Json::from(stats.misses)),
             ("snapshot_cache_hit_rate", Json::Float(hit_rate)),
             ("snapshot_cache_entries", Json::from(self.db.snapshot_cache_len())),
-            (
-                "storage_mode",
-                Json::from(match self.db.storage_mode() {
-                    StorageMode::Mvcc => "mvcc",
-                    StorageMode::Replay => "replay",
-                }),
-            ),
+            ("mvcc_live_versions", Json::from(mvcc.live_versions)),
+            ("mvcc_dead_versions", Json::from(mvcc.dead_versions)),
+            ("mvcc_store_bytes", Json::from(mvcc.approx_bytes)),
+            ("mvcc_visibility_probes", Json::from(scan.probes)),
+            ("mvcc_versions_examined", Json::from(scan.versions_examined)),
         ]
         .into_iter()
         .map(|(k, v)| (k.to_string(), v))
         .collect();
-        if let Some(m) = self.db.mvcc_stats() {
-            let scan = self.db.mvcc_scan_stats();
-            fields.extend(
-                [
-                    ("mvcc_live_versions", m.live_versions),
-                    ("mvcc_dead_versions", m.dead_versions),
-                    ("mvcc_store_bytes", m.approx_bytes),
-                    ("mvcc_visibility_probes", scan.probes),
-                    ("mvcc_versions_examined", scan.versions_examined),
-                ]
-                .into_iter()
-                .map(|(k, v)| (k.to_string(), Json::from(v))),
-            );
-        }
         if let Some(j) = &self.journal {
             let jc = j.counters();
             fields.extend(journal_stats_fields(&jc));
@@ -1784,6 +1741,56 @@ mod tests {
             };
             assert_eq!(strip(&stats).to_string(), strip(&expect_stats).to_string());
         }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A checkpoint that carries no version-store snapshot — one written
+    /// before snapshots existed, or by a daemon running the since-removed
+    /// replay engine — still opens: the covered prefix rebuilds record by
+    /// record into the same database and the same answers.
+    #[test]
+    fn checkpoint_without_db_snapshot_recovers_record_by_record() {
+        use audex_persist::WalOptions;
+
+        let dir = std::env::temp_dir().join(format!("audex-state-nosnap-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, _) = Journal::open(&dir, WalOptions::default()).unwrap();
+        let mut live = ServiceCore::new(Database::new(), ServiceConfig::default());
+        live.attach_journal(journal);
+        let dml = |c: &mut ServiceCore, ts, sql: &str| {
+            c.handle(Request::Dml { ts: Timestamp(ts), sql: sql.into() });
+        };
+        dml(
+            &mut live,
+            100,
+            "CREATE TABLE Patients (pid TEXT, zipcode TEXT, disease TEXT); \
+             INSERT INTO Patients VALUES ('p1', '120016', 'cancer'), ('p2', '145568', 'flu');",
+        );
+        register(&mut live, "cancer", "disease FROM Patients WHERE zipcode = '120016'");
+        live.handle(log_req(300, "SELECT disease FROM Patients WHERE zipcode = '120016'"));
+        // A registration with DML on both sides of it.
+        dml(&mut live, 400, "INSERT INTO Patients VALUES ('p3', '120016', 'cancer');");
+        register(&mut live, "zipfind", "pid FROM Patients WHERE zipcode = '145568'");
+        dml(&mut live, 450, "UPDATE Patients SET zipcode = '145568' WHERE pid = 'p1';");
+        live.handle(log_req(500, "SELECT pid FROM Patients WHERE zipcode = '145568'"));
+        live.checkpoint().unwrap();
+        live.handle(log_req(600, "SELECT disease FROM Patients"));
+        drop(live); // crash
+
+        let reopen = |strip_snapshot: bool| {
+            let (_journal, mut recovered) = Journal::open(&dir, WalOptions::default()).unwrap();
+            let ck = recovered.checkpoint.as_mut().unwrap();
+            assert!(ck.db.is_some(), "this build checkpoints the version stores");
+            if strip_snapshot {
+                ck.db = None;
+            }
+            let mut core =
+                ServiceCore::recovered(&mut recovered, ServiceConfig::default()).unwrap();
+            let replies = ["cancer", "zipfind"]
+                .map(|name| core.handle(Request::Audit { name: name.into() }).response.to_string());
+            (replies, queue_ids(&mut core), core.into_parts().0)
+        };
+        assert_eq!(reopen(true), reopen(false), "audits, review queue, database");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

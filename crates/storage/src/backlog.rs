@@ -7,6 +7,11 @@
 //! [`ChangeRecord`]; [`TableHistory::replay_to`] rebuilds the table as of any
 //! instant, and [`TableHistory::change_instants`] enumerates the distinct
 //! versions inside a `DATA-INTERVAL`.
+//!
+//! [`ChangeRecord`] is the stream every mutation produces (the WAL journals
+//! it, [`crate::mvcc::VersionStore`] consumes it). [`TableHistory`] is the
+//! *reference* implementation of the versioned reads: the database does not
+//! use it; tests compare the version store against it.
 
 use audex_sql::{Ident, Timestamp};
 
@@ -44,7 +49,8 @@ pub struct ChangeRecord {
 pub const CHECKPOINT_INTERVAL: usize = 1024;
 
 /// The full history of one table: creation time, schema, ordered changes,
-/// and periodic state checkpoints for fast reconstruction.
+/// and periodic state checkpoints for fast reconstruction. Reference
+/// implementation — see the module docs.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TableHistory {
     name: Ident,

@@ -6,7 +6,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use crate::backlog::{ChangeOp, ChangeRecord, TableHistory};
+use crate::backlog::{ChangeOp, ChangeRecord};
 use crate::error::StorageError;
 use crate::eval::{compile, literal_value, Scope};
 use crate::exec::{execute_query, JoinStrategy, RelationProvider, ResultSet};
@@ -16,84 +16,6 @@ use crate::schema::Schema;
 use crate::snapshot::{SnapshotCache, SnapshotKind, SnapshotStats};
 use crate::table::{Relation, Row, Table, Tid};
 use crate::value::Value;
-
-/// How the database keeps its version history.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum StorageMode {
-    /// MVCC versioned-tuple store ([`crate::mvcc`]): `as_of` is a
-    /// visibility filter, flat in history length. The engine default.
-    #[default]
-    Mvcc,
-    /// Backlog replay ([`crate::backlog`]): `as_of` replays the change
-    /// prefix. Retained as the differential oracle (`--storage replay`).
-    Replay,
-}
-
-/// Entries the snapshot cache holds in MVCC mode. Reconstruction is cheap
-/// there, so the cache is a small reuse buffer (repeated probes of one
-/// `DATA-INTERVAL`), not the primary defense against replay cost.
-const MVCC_SNAPSHOT_CACHE_CAP: usize = 64;
-
-/// A table's version history in whichever representation the database's
-/// [`StorageMode`] selects. Both variants consume the same [`ChangeRecord`]
-/// stream and answer the same questions; the differential tests hold them
-/// byte-identical.
-#[derive(Debug, Clone, PartialEq)]
-enum TableVersions {
-    Replay(TableHistory),
-    Mvcc(VersionStore),
-}
-
-impl TableVersions {
-    fn new(mode: StorageMode, name: Ident, schema: Schema, ts: Timestamp) -> Self {
-        match mode {
-            StorageMode::Replay => TableVersions::Replay(TableHistory::new(name, schema, ts)),
-            StorageMode::Mvcc => TableVersions::Mvcc(VersionStore::new(name, schema, ts)),
-        }
-    }
-
-    fn record(&mut self, rec: ChangeRecord) -> Result<(), StorageError> {
-        match self {
-            TableVersions::Replay(h) => h.record(rec),
-            TableVersions::Mvcc(s) => s.record(rec),
-        }
-    }
-
-    fn created_at(&self) -> Timestamp {
-        match self {
-            TableVersions::Replay(h) => h.created_at(),
-            TableVersions::Mvcc(s) => s.created_at(),
-        }
-    }
-
-    fn change_prefix_len(&self, ts: Timestamp) -> usize {
-        match self {
-            TableVersions::Replay(h) => h.change_prefix_len(ts),
-            TableVersions::Mvcc(s) => s.change_prefix_len(ts),
-        }
-    }
-
-    fn change_instants(&self, start: Timestamp, end: Timestamp) -> Vec<Timestamp> {
-        match self {
-            TableVersions::Replay(h) => h.change_instants(start, end),
-            TableVersions::Mvcc(s) => s.change_instants(start, end),
-        }
-    }
-
-    fn changes(&self) -> Vec<ChangeRecord> {
-        match self {
-            TableVersions::Replay(h) => h.changes().to_vec(),
-            TableVersions::Mvcc(s) => s.changes(),
-        }
-    }
-
-    fn backlog_relation(&self, ts: Timestamp) -> Relation {
-        match self {
-            TableVersions::Replay(h) => h.backlog_relation(ts),
-            TableVersions::Mvcc(s) => s.backlog_relation(ts),
-        }
-    }
-}
 
 /// MVCC read-path telemetry: always-on atomic counters (cheap, queryable in
 /// tests) plus registry mirrors that are no-ops until wired by
@@ -137,22 +59,19 @@ pub trait ChangeSink: Send + Sync {
 /// An in-memory, versioned relational database.
 ///
 /// Every mutation is stamped with a (non-decreasing) [`Timestamp`] and
-/// recorded in per-table version histories — an MVCC tuple store by default
-/// ([`crate::mvcc`]), or [`TableHistory`] backlogs under
-/// [`StorageMode::Replay`] — so any past instant can be reconstructed: the
-/// substrate the paper's `DATA-INTERVAL` clause and the Agrawal et al.
-/// backlog methodology require.
+/// recorded in a per-table MVCC version store ([`crate::mvcc`]), so any past
+/// instant can be reconstructed: the substrate the paper's `DATA-INTERVAL`
+/// clause and the Agrawal et al. backlog methodology require.
+#[derive(Default)]
 pub struct Database {
-    mode: StorageMode,
     tables: BTreeMap<Ident, Table>,
-    versions: BTreeMap<Ident, TableVersions>,
+    versions: BTreeMap<Ident, VersionStore>,
     last_ts: Timestamp,
     /// Armed fault-injection plan, if any (see [`crate::fault`]). Shared by
     /// clones so scan ordinals keep counting across `at()` views.
     faults: Option<Arc<FaultState>>,
     /// Memoized version snapshots (see [`crate::snapshot`]). Derived data:
-    /// invisible to equality, and never shared with clones. Bounded in MVCC
-    /// mode, where it is a reuse buffer rather than a replay shield.
+    /// invisible to equality, and never shared with clones.
     snapshots: SnapshotCache,
     /// MVCC read-path telemetry; derived state like the cache.
     mvcc_obs: MvccObs,
@@ -160,16 +79,9 @@ pub struct Database {
     sink: Option<Arc<dyn ChangeSink>>,
 }
 
-impl Default for Database {
-    fn default() -> Self {
-        Database::with_mode(StorageMode::default())
-    }
-}
-
 impl std::fmt::Debug for Database {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Database")
-            .field("mode", &self.mode)
             .field("tables", &self.tables)
             .field("versions", &self.versions)
             .field("last_ts", &self.last_ts)
@@ -190,12 +102,11 @@ impl Clone for Database {
     /// wiring follows the instance too — the clone's counters start cold.
     fn clone(&self) -> Self {
         Database {
-            mode: self.mode,
             tables: self.tables.clone(),
             versions: self.versions.clone(),
             last_ts: self.last_ts,
             faults: self.faults.clone(),
-            snapshots: self.snapshots.fresh(),
+            snapshots: SnapshotCache::default(),
             mvcc_obs: MvccObs::default(),
             sink: None,
         }
@@ -205,10 +116,7 @@ impl Clone for Database {
 impl PartialEq for Database {
     /// Fault-injection state, telemetry, and the snapshot cache are
     /// harness/derived state, not data: two databases are equal when their
-    /// tables, version histories, and clock agree. Databases in different
-    /// storage modes never compare equal — cross-mode equivalence is a
-    /// *semantic* property the differential tests assert through reports,
-    /// not a structural one.
+    /// tables, version histories, and clock agree.
     fn eq(&self, other: &Self) -> bool {
         self.tables == other.tables
             && self.versions == other.versions
@@ -228,32 +136,9 @@ pub enum ExecOutcome {
 }
 
 impl Database {
-    /// An empty database in the default storage mode (MVCC).
+    /// An empty database.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// An empty database keeping history in `mode`.
-    pub fn with_mode(mode: StorageMode) -> Self {
-        let snapshots = match mode {
-            StorageMode::Mvcc => SnapshotCache::with_cap(MVCC_SNAPSHOT_CACHE_CAP),
-            StorageMode::Replay => SnapshotCache::default(),
-        };
-        Database {
-            mode,
-            tables: BTreeMap::new(),
-            versions: BTreeMap::new(),
-            last_ts: Timestamp(0),
-            faults: None,
-            snapshots,
-            mvcc_obs: MvccObs::default(),
-            sink: None,
-        }
-    }
-
-    /// How this database keeps its version history.
-    pub fn storage_mode(&self) -> StorageMode {
-        self.mode
     }
 
     /// The timestamp of the latest change (zero for an empty database).
@@ -273,8 +158,7 @@ impl Database {
             return Err(StorageError::DuplicateTable(name));
         }
         self.tables.insert(name.clone(), Table::new(name.clone(), schema.clone()));
-        self.versions
-            .insert(name.clone(), TableVersions::new(self.mode, name.clone(), schema.clone(), ts));
+        self.versions.insert(name.clone(), VersionStore::new(name.clone(), schema.clone(), ts));
         self.last_ts = ts;
         if let Some(s) = &self.sink {
             s.on_create_table(&name, &schema, ts);
@@ -303,21 +187,18 @@ impl Database {
         self.versions.get(name).map(|v| v.created_at())
     }
 
-    /// The full ordered change log of a table, materialized — the
-    /// mode-agnostic export path (session scripts, oracles, benches).
+    /// The full ordered change log of a table, materialized — the export
+    /// path (session scripts, benches).
     pub fn table_changes(&self, name: &Ident) -> Option<Vec<ChangeRecord>> {
         self.versions.get(name).map(|v| v.changes())
     }
 
-    /// The row `tid` held in `name` as of `ts`, if it was visible then
-    /// (the replay path's `replay_to(ts).get(tid)`). `None` for unknown
-    /// tables or invisible tuples. Bypasses fault gates and the cache — a
-    /// point lookup for exporters, not the audited read path.
+    /// The row `tid` held in `name` as of `ts`, if it was visible then.
+    /// `None` for unknown tables or invisible tuples. Bypasses fault gates
+    /// and the cache — a point lookup for exporters, not the audited read
+    /// path.
     pub fn row_as_of(&self, name: &Ident, tid: Tid, ts: Timestamp) -> Option<Row> {
-        match self.versions.get(name)? {
-            TableVersions::Replay(h) => h.replay_to(ts).get(tid).cloned(),
-            TableVersions::Mvcc(s) => s.row_as_of(tid, ts).cloned(),
-        }
+        self.versions.get(name)?.row_as_of(tid, ts).cloned()
     }
 
     /// Names of all tables, sorted.
@@ -386,34 +267,23 @@ impl Database {
         );
     }
 
-    /// Aggregate MVCC occupancy over all tables, `None` in replay mode.
-    pub fn mvcc_stats(&self) -> Option<StoreStats> {
-        if self.mode != StorageMode::Mvcc {
-            return None;
-        }
+    /// Aggregate MVCC occupancy over all tables.
+    pub fn mvcc_stats(&self) -> StoreStats {
         let mut total = StoreStats::default();
-        for v in self.versions.values() {
-            if let TableVersions::Mvcc(s) = v {
-                total.merge(s.stats());
-            }
+        for s in self.versions.values() {
+            total.merge(s.stats());
         }
-        Some(total)
+        total
     }
 
-    /// Per-table MVCC occupancy, sorted by table name; empty in replay
-    /// mode. The per-tenant `audex compact` report walks this.
+    /// Per-table MVCC occupancy, sorted by table name. The per-tenant
+    /// `audex compact` report walks this.
     pub fn mvcc_table_stats(&self) -> Vec<(Ident, StoreStats)> {
-        self.versions
-            .iter()
-            .filter_map(|(name, v)| match v {
-                TableVersions::Mvcc(s) => Some((name.clone(), s.stats())),
-                TableVersions::Replay(_) => None,
-            })
-            .collect()
+        self.versions.iter().map(|(name, s)| (name.clone(), s.stats())).collect()
     }
 
     /// Cumulative visibility-scan effort of every MVCC reconstruction this
-    /// instance has served (zeros in replay mode or before any read).
+    /// instance has served (zeros before any historical read).
     pub fn mvcc_scan_stats(&self) -> VisibilityScan {
         VisibilityScan {
             probes: self.mvcc_obs.probes.load(Ordering::Relaxed),
@@ -432,19 +302,20 @@ impl Database {
     }
 
     /// Recomputes the `audex_mvcc_{live_versions,dead_versions,store_bytes}`
-    /// gauges from current occupancy. Called at stats/metrics render time
-    /// rather than on every mutation — occupancy moves with DML, but the
-    /// gauges only need to be fresh when someone is looking.
-    pub fn refresh_mvcc_gauges(&self) {
-        if let Some(stats) = self.mvcc_stats() {
-            self.mvcc_obs.live.set(stats.live_versions as i64);
-            self.mvcc_obs.dead.set(stats.dead_versions as i64);
-            self.mvcc_obs.bytes.set(stats.approx_bytes as i64);
-        }
+    /// gauges from current occupancy, and returns it. Called at
+    /// stats/metrics render time rather than on every mutation — occupancy
+    /// moves with DML, but the gauges only need to be fresh when someone is
+    /// looking.
+    pub fn refresh_mvcc_gauges(&self) -> StoreStats {
+        let stats = self.mvcc_stats();
+        self.mvcc_obs.live.set(stats.live_versions as i64);
+        self.mvcc_obs.dead.set(stats.dead_versions as i64);
+        self.mvcc_obs.bytes.set(stats.approx_bytes as i64);
+        stats
     }
 
     /// Hit/miss counters of the version-snapshot cache (diagnostics and
-    /// regression tests for replay deduplication).
+    /// regression tests for reconstruction deduplication).
     pub fn snapshot_stats(&self) -> SnapshotStats {
         self.snapshots.stats()
     }
@@ -731,61 +602,14 @@ impl Database {
         instants
     }
 
-    /// The same data held in `mode`: tables re-created at their original
-    /// instants and every change re-applied in global timestamp order
-    /// through the normal mutation paths. The identity when `mode` already
-    /// matches would still rebuild, so callers should check
-    /// [`Database::storage_mode`] first when conversion is conditional.
-    pub fn converted(&self, mode: StorageMode) -> Result<Self, StorageError> {
-        enum Event {
-            Create(Ident, Schema),
-            Change(Ident, ChangeRecord),
-        }
-        let mut events: Vec<(Timestamp, Event)> = Vec::new();
-        for (name, v) in &self.versions {
-            let schema = match self.tables.get(name) {
-                Some(t) => t.schema().clone(),
-                None => return Err(StorageError::UnknownTable(name.clone())),
-            };
-            events.push((v.created_at(), Event::Create(name.clone(), schema)));
-            for rec in v.changes() {
-                events.push((rec.ts, Event::Change(name.clone(), rec)));
-            }
-        }
-        // Stable by timestamp: per-table order (creation first, then the
-        // change sequence) is preserved, and any cross-table interleaving
-        // at equal instants satisfies the monotonic-clock check.
-        events.sort_by_key(|(ts, _)| *ts);
-        let mut db = Database::with_mode(mode);
-        for (ts, event) in events {
-            match event {
-                Event::Create(name, schema) => db.create_table(name, schema, ts)?,
-                Event::Change(name, rec) => db.apply_change(&name, &rec)?,
-            }
-        }
-        db.last_ts = self.last_ts;
-        Ok(db)
-    }
-
-    /// The MVCC version stores, sorted by table name — what a checkpoint
-    /// persists. `None` in replay mode (replay checkpoints fall back to
-    /// record-by-record rebuild).
+    /// The version stores, sorted by table name — what a checkpoint
+    /// persists. Always `Some`: the `Option` is frozen API (the `ledger/`
+    /// benchmark package `.map`s over it and may not be edited).
     pub fn mvcc_stores(&self) -> Option<Vec<&VersionStore>> {
-        if self.mode != StorageMode::Mvcc {
-            return None;
-        }
-        Some(
-            self.versions
-                .values()
-                .filter_map(|v| match v {
-                    TableVersions::Mvcc(s) => Some(s),
-                    TableVersions::Replay(_) => None,
-                })
-                .collect(),
-        )
+        Some(self.versions.values().collect())
     }
 
-    /// Rebuilds an MVCC database from decoded version stores (crash
+    /// Rebuilds a database from decoded version stores (crash
     /// recovery restoring a checkpoint). Live tables are reconstructed from
     /// each store's visibility at `last_ts`; tid watermarks are exact
     /// because every insert opened a version.
@@ -793,14 +617,14 @@ impl Database {
         stores: Vec<VersionStore>,
         last_ts: Timestamp,
     ) -> Result<Self, StorageError> {
-        let mut db = Database::with_mode(StorageMode::Mvcc);
+        let mut db = Database::new();
         for store in stores {
             let name = store.name().clone();
             if db.versions.contains_key(&name) {
                 return Err(StorageError::DuplicateTable(name));
             }
             db.tables.insert(name.clone(), store.table_as_of(last_ts));
-            db.versions.insert(name, TableVersions::Mvcc(store));
+            db.versions.insert(name, store);
         }
         db.last_ts = last_ts;
         Ok(db)
@@ -811,29 +635,19 @@ impl Database {
     /// (no change-by-change replay) used by crash recovery to re-prepare a
     /// mid-stream audit registration against the exact state it originally
     /// saw. Tables absent from `counts` (created past the cut) are omitted.
-    /// MVCC mode only: replay-mode recovery rebuilds in record order and
-    /// never forks.
     pub fn fork_prefix(
         &self,
         counts: &BTreeMap<Ident, usize>,
         last_ts: Timestamp,
     ) -> Result<Self, StorageError> {
-        let mut db = Database::with_mode(StorageMode::Mvcc);
-        for (name, n) in counts {
-            let store = match self.versions.get(name) {
-                Some(TableVersions::Mvcc(s)) => s.truncated(*n),
-                Some(TableVersions::Replay(_)) => {
-                    return Err(StorageError::Unsupported(
-                        "fork_prefix requires MVCC storage".into(),
-                    ))
-                }
-                None => return Err(StorageError::UnknownTable(name.clone())),
-            };
-            db.tables.insert(name.clone(), store.table_as_of(last_ts));
-            db.versions.insert(name.clone(), TableVersions::Mvcc(store));
-        }
-        db.last_ts = last_ts;
-        Ok(db)
+        let stores = counts
+            .iter()
+            .map(|(name, n)| match self.versions.get(name) {
+                Some(store) => Ok(store.truncated(*n)),
+                None => Err(StorageError::UnknownTable(name.clone())),
+            })
+            .collect::<Result<_, _>>()?;
+        Database::from_mvcc_stores(stores, last_ts)
     }
 }
 
@@ -893,9 +707,7 @@ use audex_sql::ast::Query;
 impl<'a> RelationProvider for DatabaseAt<'a> {
     fn relation(&self, name: &Ident) -> Result<Arc<Relation>, StorageError> {
         // Fault gates run before any cache consultation, so a planned fault
-        // fires even when the snapshot it addresses is already cached. The
-        // gate order and cache keys are identical in both storage modes —
-        // only the reconstruction behind the final closure differs.
+        // fires even when the snapshot it addresses is already cached.
 
         // Backlog relation `b-T`?
         if name.value.get(..2).is_some_and(|p| p.eq_ignore_ascii_case("b-")) {
@@ -920,19 +732,13 @@ impl<'a> RelationProvider for DatabaseAt<'a> {
                 return Ok(self.db.snapshots.get_or_build(key, || t.to_relation()));
             }
         }
-        // Historical read: a visibility filter over the version store, or a
-        // backlog replay under `StorageMode::Replay`.
+        // Historical read: a visibility filter over the version store.
         self.db.fault_on_replay(name, self.ts)?;
-        match v {
-            TableVersions::Mvcc(s) => Ok(self.db.snapshots.get_or_build(key, || {
-                let (rel, scan) = s.relation_as_of(self.ts);
-                self.db.mvcc_obs.record_scan(scan);
-                rel
-            })),
-            TableVersions::Replay(h) => {
-                Ok(self.db.snapshots.get_or_build(key, || h.replay_to(self.ts).to_relation()))
-            }
-        }
+        Ok(self.db.snapshots.get_or_build(key, || {
+            let (rel, scan) = v.relation_as_of(self.ts);
+            self.db.mvcc_obs.record_scan(scan);
+            rel
+        }))
     }
 }
 
@@ -1194,123 +1000,72 @@ mod tests {
         assert_eq!(db, cold);
     }
 
-    /// Replays the same DML script into both storage modes and returns the
-    /// pair (mvcc, replay).
-    fn twin_dbs(script: &[(&str, i64)]) -> (Database, Database) {
-        let mut mvcc = Database::with_mode(StorageMode::Mvcc);
-        let mut replay = Database::with_mode(StorageMode::Replay);
-        for (sql, ts) in script {
-            let stmt = parse_statement(sql).unwrap();
-            let a = mvcc.execute(&stmt, Timestamp(*ts)).unwrap();
-            let b = replay.execute(&stmt, Timestamp(*ts)).unwrap();
-            assert_eq!(a, b, "outcome divergence on {sql}");
+    /// A database with updates, a same-instant delete and a later insert.
+    fn scripted_db() -> Database {
+        let mut db = Database::new();
+        for (sql, ts) in [
+            ("CREATE TABLE p (pid TEXT, zip TEXT)", 0),
+            ("INSERT INTO p VALUES ('p1', 'z1'), ('p2', 'z2')", 10),
+            ("UPDATE p SET zip = 'z9' WHERE pid = 'p1'", 20),
+            ("DELETE FROM p WHERE pid = 'p2'", 20),
+            ("INSERT INTO p VALUES ('p3', 'z3')", 30),
+        ] {
+            db.execute(&parse_statement(sql).unwrap(), Timestamp(ts)).unwrap();
         }
-        (mvcc, replay)
-    }
-
-    const SCRIPT: &[(&str, i64)] = &[
-        ("CREATE TABLE p (pid TEXT, zip TEXT)", 0),
-        ("INSERT INTO p VALUES ('p1', 'z1'), ('p2', 'z2')", 10),
-        ("UPDATE p SET zip = 'z9' WHERE pid = 'p1'", 20),
-        ("DELETE FROM p WHERE pid = 'p2'", 20),
-        ("INSERT INTO p VALUES ('p3', 'z3')", 30),
-    ];
-
-    #[test]
-    fn storage_modes_answer_versioned_reads_identically() {
-        let (mvcc, replay) = twin_dbs(SCRIPT);
-        assert_eq!(mvcc.storage_mode(), StorageMode::Mvcc);
-        assert_eq!(replay.storage_mode(), StorageMode::Replay);
-        for probe in [-1i64, 0, 5, 10, 15, 20, 25, 30, 100] {
-            let ts = Timestamp(probe);
-            for q in ["SELECT pid, zip FROM p", "SELECT pid, zip FROM b-p"] {
-                let q = parse_query(q).unwrap();
-                assert_eq!(
-                    mvcc.at(ts).query(&q).unwrap(),
-                    replay.at(ts).query(&q).unwrap(),
-                    "divergence at ts {probe}"
-                );
-            }
-        }
-        assert_eq!(
-            mvcc.versions_in(&[], Timestamp(0), Timestamp(100)),
-            replay.versions_in(&[], Timestamp(0), Timestamp(100))
-        );
-        let p = Ident::new("p");
-        assert_eq!(mvcc.table_changes(&p), replay.table_changes(&p));
-        assert_eq!(mvcc.table_created_at(&p), replay.table_created_at(&p));
-        assert_eq!(
-            mvcc.row_as_of(&p, Tid(1), Timestamp(15)),
-            replay.row_as_of(&p, Tid(1), Timestamp(15))
-        );
-        assert_eq!(mvcc.row_as_of(&p, Tid(2), Timestamp(25)), None);
-    }
-
-    #[test]
-    fn cross_mode_databases_never_compare_equal() {
-        let (mvcc, replay) = twin_dbs(SCRIPT);
-        assert_ne!(mvcc, replay, "equality is structural, not semantic");
-        assert_eq!(mvcc, mvcc.clone());
-        assert_eq!(replay, replay.clone());
+        db
     }
 
     #[test]
     fn mvcc_reads_count_visibility_probes() {
-        let (mvcc, replay) = twin_dbs(SCRIPT);
+        let db = scripted_db();
         let q = parse_query("SELECT pid FROM p").unwrap();
         // A historical read reconstructs via the version store.
-        mvcc.at(Timestamp(15)).query(&q).unwrap();
-        let scan = mvcc.mvcc_scan_stats();
+        db.at(Timestamp(15)).query(&q).unwrap();
+        let scan = db.mvcc_scan_stats();
         assert!(scan.probes >= 2, "{scan:?}");
         assert!(scan.versions_examined >= scan.probes);
         // Live reads bypass reconstruction entirely.
-        let before = mvcc.mvcc_scan_stats();
-        mvcc.at(Timestamp(100)).query(&q).unwrap();
-        assert_eq!(mvcc.mvcc_scan_stats(), before);
-        // The replay oracle never probes chains.
-        replay.at(Timestamp(15)).query(&q).unwrap();
-        assert_eq!(replay.mvcc_scan_stats(), VisibilityScan::default());
-        assert_eq!(replay.mvcc_stats(), None);
-        let stats = mvcc.mvcc_stats().unwrap();
+        let before = db.mvcc_scan_stats();
+        db.at(Timestamp(100)).query(&q).unwrap();
+        assert_eq!(db.mvcc_scan_stats(), before);
+        let stats = db.mvcc_stats();
         assert_eq!(stats.live_versions, 2, "p1@z9 and p3");
         assert_eq!(stats.dead_versions, 2, "p1@z1 and deleted p2");
     }
 
     #[test]
     fn fork_prefix_reconstructs_midstream_states() {
-        let (mvcc, _) = twin_dbs(SCRIPT);
+        let db = scripted_db();
         let p = Ident::new("p");
         // Cut after the first three changes (2 inserts + 1 update, the
         // DELETE and the later INSERT dropped) with the clock at 20.
         let mut counts = BTreeMap::new();
         counts.insert(p.clone(), 3usize);
-        let fork = mvcc.fork_prefix(&counts, Timestamp(20)).unwrap();
+        let fork = db.fork_prefix(&counts, Timestamp(20)).unwrap();
         assert_eq!(fork.last_ts(), Timestamp(20));
         let q = parse_query("SELECT pid, zip FROM p").unwrap();
         assert_eq!(fork.at(Timestamp(20)).query(&q).unwrap().rows.len(), 2, "p2 still alive");
         // The fork's past matches the original's past.
         assert_eq!(
             fork.at(Timestamp(10)).query(&q).unwrap(),
-            mvcc.at(Timestamp(10)).query(&q).unwrap()
+            db.at(Timestamp(10)).query(&q).unwrap()
         );
         // Tids continue past the cut exactly as the original did.
         let mut fork = fork;
         let tid = fork.insert(&p, vec!["p4".into(), "z4".into()], Timestamp(21)).unwrap();
         assert_eq!(tid, Tid(3), "watermark preserved across the fork");
-        // Unknown tables and replay-mode sources are rejected.
+        // Unknown tables are rejected.
         let mut bad = BTreeMap::new();
         bad.insert(Ident::new("nosuch"), 1usize);
-        assert!(mvcc.fork_prefix(&bad, Timestamp(20)).is_err());
+        assert!(db.fork_prefix(&bad, Timestamp(20)).is_err());
     }
 
     #[test]
     fn mvcc_stores_round_trip_through_from_mvcc_stores() {
-        let (mvcc, _) = twin_dbs(SCRIPT);
-        let stores: Vec<_> = mvcc.mvcc_stores().unwrap().into_iter().cloned().collect();
-        let rebuilt = Database::from_mvcc_stores(stores, mvcc.last_ts()).unwrap();
-        assert_eq!(rebuilt, mvcc, "tables, versions, and clock all restored");
-        let replay = Database::with_mode(StorageMode::Replay);
-        assert_eq!(replay.mvcc_stores(), None);
+        let db = scripted_db();
+        let stores: Vec<_> = db.mvcc_stores().unwrap().into_iter().cloned().collect();
+        let rebuilt = Database::from_mvcc_stores(stores, db.last_ts()).unwrap();
+        assert_eq!(rebuilt, db, "tables, versions, and clock all restored");
     }
 
     #[test]

@@ -11,12 +11,13 @@
 //!   examples rely on),
 //! * [`schema`] / [`table`] — typed relations whose rows carry stable tuple
 //!   ids (`t11`, `t24`, … as in the paper's Tables 1–3),
-//! * [`backlog`] — per-table change logs with time travel
-//!   ([`backlog::TableHistory::replay_to`]) and backlog relations (`b-T`),
-//! * [`mvcc`] — the default versioned-tuple store: every version carries a
-//!   `[xmin, xmax)` validity interval, so time travel is a visibility
-//!   filter instead of a replay (the backlog path remains available as the
-//!   differential oracle via [`database::StorageMode::Replay`]),
+//! * [`mvcc`] — the versioned-tuple store behind every [`Database`]: each
+//!   version carries a `[xmin, xmax)` validity interval, so time travel is
+//!   a visibility filter,
+//! * [`backlog`] — the [`ChangeRecord`] stream both consume, and
+//!   [`backlog::TableHistory`], the replay-the-change-log *reference*
+//!   implementation of the same reads. Nothing in [`database`] names it;
+//!   tests hold the version store equal to it,
 //! * [`eval`] — compiled expression evaluation,
 //! * [`exec`] — SPJ execution with **tuple-level lineage**, the primitive
 //!   from which indispensable-tuple auditing (paper Definition 2) is built,
@@ -60,7 +61,7 @@ pub mod table;
 pub mod value;
 
 pub use backlog::{ChangeOp, ChangeRecord, TableHistory};
-pub use database::{ChangeSink, Database, DatabaseAt, ExecOutcome, StorageMode};
+pub use database::{ChangeSink, Database, DatabaseAt, ExecOutcome};
 pub use error::StorageError;
 pub use exec::{
     execute_query, JoinStrategy, LineageEntry, LineageRow, RelationProvider, ResultSet,

@@ -27,8 +27,9 @@
 //! empty `[t, t)` intervals — invisible to `as_of`, exactly like replay's
 //! last-image-wins — while the backlog relation deliberately ignores `xmax`
 //! so superseded same-instant images still appear, as they do when replay
-//! walks the raw change log. `Database` keeps both representations behind
-//! one API and the differential tests hold them byte-identical.
+//! walks the raw change log. `Database` holds only this store;
+//! [`crate::backlog::TableHistory`] stays as the reference the unit tests
+//! below and `tests/proptest_storage.rs` hold it byte-identical to.
 //!
 //! # Recovery forks
 //!

@@ -1,15 +1,15 @@
 //! Version-snapshot caching for the [`crate::database::DatabaseAt`] read
 //! path.
 //!
-//! Every versioned read — a historical `replay_to`, a live table scan, or a
-//! backlog relation `b-T` — flows through the single
+//! Every versioned read — a historical visibility scan, a live table scan,
+//! or a backlog relation `b-T` — flows through the single
 //! `DatabaseAt::relation` choke point. The audit engine hits that choke
 //! point once per logged query per referenced table, and most of those
 //! reads resolve to the *same* reconstructed state: a `DATA-INTERVAL`
 //! enumerates a handful of versions, while a log holds thousands of
 //! queries. The [`SnapshotCache`] memoizes the reconstructed relations so
-//! the backlog is replayed once per distinct version instead of once per
-//! read.
+//! a version is reconstructed once instead of once per read, up to a single
+//! fixed capacity (`SNAPSHOT_CACHE_CAP`).
 //!
 //! # Keying: self-validating, no invalidation
 //!
@@ -58,12 +58,20 @@ use crate::table::Relation;
 /// Which derived relation an entry memoizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SnapshotKind {
-    /// A table state reconstructed by `replay_to` (or the live table, which
-    /// equals the replay of the full change prefix).
+    /// A table state as of an instant (or the live table, which equals the
+    /// state after the full change prefix).
     Replay,
     /// A backlog relation `b-T` (every after-image up to the instant).
     Backlog,
 }
+
+/// Entries a cache holds. Reconstruction is a cheap visibility filter, so the
+/// cache is a small reuse buffer (repeated probes of one `DATA-INTERVAL`);
+/// bounding it keeps long-running services from accumulating one entry per
+/// distinct version forever. When a miss would exceed the cap the whole map
+/// is cleared — deterministic, and correct for any eviction order because
+/// keys are self-validating.
+const SNAPSHOT_CACHE_CAP: usize = 64;
 
 /// Cache key: `(table, kind, visible change-prefix length)`.
 pub(crate) type SnapshotKey = (Ident, SnapshotKind, usize);
@@ -84,10 +92,6 @@ pub struct SnapshotCache {
     entries: Mutex<HashMap<SnapshotKey, Arc<Relation>>>,
     hits: AtomicU64,
     misses: AtomicU64,
-    /// Maximum number of entries to hold (`None` = unbounded). When a miss
-    /// would exceed the cap the whole map is cleared — deterministic, and
-    /// correct for any eviction order because keys are self-validating.
-    cap: Option<usize>,
     /// Registry mirrors of `hits`/`misses` (no-op unless wired up via
     /// [`crate::database::Database::set_obs`]).
     obs_hits: audex_obs::Counter,
@@ -95,21 +99,6 @@ pub struct SnapshotCache {
 }
 
 impl SnapshotCache {
-    /// A cache bounded to at most `cap` entries. The MVCC engine answers
-    /// versioned reads in sublinear time, so its cache is a small reuse
-    /// buffer rather than the primary defense against replay cost; bounding
-    /// it keeps long-running services from accumulating one entry per
-    /// distinct version forever.
-    pub(crate) fn with_cap(cap: usize) -> Self {
-        SnapshotCache { cap: Some(cap), ..SnapshotCache::default() }
-    }
-
-    /// An empty cache with the same capacity policy as `self` (for clones,
-    /// which must start cold but keep the owning database's bound).
-    pub(crate) fn fresh(&self) -> Self {
-        SnapshotCache { cap: self.cap, ..SnapshotCache::default() }
-    }
-
     /// Mirrors hit/miss counts into `registry` as
     /// `audex_snapshot_cache_hits_total` / `audex_snapshot_cache_misses_total`.
     /// Takes `&mut self` so it can only happen while the owning database is
@@ -146,10 +135,8 @@ impl SnapshotCache {
         self.obs_misses.inc();
         let built = Arc::new(build());
         let mut entries = self.lock();
-        if let Some(cap) = self.cap {
-            if !entries.contains_key(&key) && entries.len() >= cap {
-                entries.clear();
-            }
+        if !entries.contains_key(&key) && entries.len() >= SNAPSHOT_CACHE_CAP {
+            entries.clear();
         }
         Arc::clone(entries.entry(key).or_insert(built))
     }
@@ -218,22 +205,18 @@ mod tests {
 
     #[test]
     fn capped_cache_clears_rather_than_grow_past_the_bound() {
-        let cache = SnapshotCache::with_cap(2);
-        cache.get_or_build((Ident::new("t"), SnapshotKind::Replay, 1), || rel(1));
-        cache.get_or_build((Ident::new("t"), SnapshotKind::Replay, 2), || rel(2));
-        assert_eq!(cache.len(), 2);
+        let cache = SnapshotCache::default();
+        let key = |n: usize| (Ident::new("t"), SnapshotKind::Replay, n);
+        for n in 0..SNAPSHOT_CACHE_CAP {
+            cache.get_or_build(key(n), || rel(1));
+        }
+        assert_eq!(cache.len(), SNAPSHOT_CACHE_CAP);
         // Re-building an existing key never evicts.
-        cache.get_or_build((Ident::new("t"), SnapshotKind::Replay, 2), || rel(2));
-        assert_eq!(cache.len(), 2);
-        // A third distinct key clears the map and starts over.
-        cache.get_or_build((Ident::new("t"), SnapshotKind::Replay, 3), || rel(3));
+        cache.get_or_build(key(0), || unreachable!("must be served from cache"));
+        assert_eq!(cache.len(), SNAPSHOT_CACHE_CAP);
+        // One more distinct key clears the map and starts over.
+        cache.get_or_build(key(SNAPSHOT_CACHE_CAP), || rel(1));
         assert_eq!(cache.len(), 1);
-        // A clone's fresh cache keeps the bound.
-        let fresh = cache.fresh();
-        fresh.get_or_build((Ident::new("t"), SnapshotKind::Replay, 1), || rel(1));
-        fresh.get_or_build((Ident::new("t"), SnapshotKind::Replay, 2), || rel(2));
-        fresh.get_or_build((Ident::new("t"), SnapshotKind::Replay, 3), || rel(3));
-        assert_eq!(fresh.len(), 1);
     }
 
     #[test]

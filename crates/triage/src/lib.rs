@@ -21,8 +21,8 @@
 //!
 //! Everything here is deterministic: items live in ordered maps, ranking
 //! breaks ties by query id, and template mining folds in query-id order, so
-//! the queue and templates are byte-identical across thread counts and
-//! dispatch modes (proven by `tests/proptest_triage.rs`).
+//! the queue and templates never depend on how audits were shortlisted
+//! (`tests/proptest_triage.rs`: equal to a queue fed by the scan-all path).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

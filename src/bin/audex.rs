@@ -114,9 +114,8 @@ USAGE:
               [--max-granules <N>] [--threads <N>] [--metrics-every <N>]
               [--trace-out <FILE>] [--max-conns <N>] [--sub-queue <N>]
               [--conn-idle-ms <MS>] [--max-line-bytes <N>] [--drain-ms <MS>]
-              [--net-fault <SPEC>]... [--scan-all-audits]
+              [--net-fault <SPEC>]...
               [--redact-log] [--review-budget <N>]
-              [--storage mvcc|replay]
   audex send  --addr <ADDR> [--tenant <NAME>] [--connect-retries <N>]
               [REQUEST...]
   audex triage --data-dir <DIR> [--tenant <NAME>] [--top <N>] [--offset <N>]
@@ -141,9 +140,11 @@ DURABILITY (--data-dir, the durable audit store):
   durable), `batch` (group fsync, bounded loss window; default), `never`.
   --checkpoint-every N snapshots derived state every N records so recovery
   and the WAL stay short. `audex recover` repairs and summarizes a store
-  without serving. `audex compact` forces a checkpoint and prunes covered
-  segments. `audex audit --data-dir` audits recovered state read-only; with
-  --stats it also reports the store's journal counters.
+  without serving. `audex compact` forces a checkpoint, prunes covered
+  segments and reports dead tuple versions per tenant (retained, never
+  reclaimed: the backlog relation b-T needs them). `audex audit --data-dir`
+  audits recovered state read-only; with --stats it also reports the
+  store's journal counters.
 
 OPTIONS:
   --now          reference time for now() and clause defaults
@@ -153,10 +154,15 @@ OPTIONS:
   --no-static-filter   skip the static candidate analysis
   --granules N   also print the granule set G when it has at most N granules
   --stats        after the audit, print resource-governor progress (work
-                 steps), the snapshot-cache hit statistics, and (with
-                 --data-dir) the dispatch-index counters from replay
-  --threads N    worker threads for the evaluation phases (default: available
-                 cores; 1 = sequential). Reports are identical at any setting.
+                 steps), the snapshot-cache hit statistics, live/dead tuple
+                 version counts, and (with --data-dir) the dispatch-index
+                 counters from replay
+  --threads N    (audit) worker threads for the evaluation phases (default:
+                 available cores; 1 = sequential). Reports are identical at
+                 any setting. (serve) worker threads for the
+                 {\"cmd\":\"audit\",\"all_tenants\":true} fan-out, one tenant
+                 per worker; nothing else in the daemon reads it — each
+                 tenant serves one request at a time.
 
 TELEMETRY:
   --trace-out FILE   record every pipeline phase (parse, recovery replay,
@@ -191,22 +197,7 @@ SERVE / SEND (audexd, the streaming audit service):
   stream until the connection closes. --connect-retries N (default 5)
   retries the initial connect every 100 ms while the server is starting.
   Registered (standing) audits are scored through a dispatch index that
-  prunes audits which provably cannot match an incoming query;
-  --scan-all-audits disables it (every audit evaluated on every query) as
-  the differential oracle for the indexed path.
-
-STORAGE (--storage, the version-history representation):
-  mvcc (default)  every tuple carries a [xmin, xmax) validity interval, so
-                  reconstructing the state at an audit instant is a
-                  visibility filter — flat in history length. `audex audit
-                  --stats`, serve `stats` and the Prometheus exposition
-                  report live/dead version counts, visibility-probe
-                  counters and retained bytes; `audex compact` reports the
-                  dead-version occupancy per tenant (versions are retained,
-                  not reclaimed: the backlog relation b-T needs them).
-  replay          rebuild states by replaying the change prefix — the
-                  original representation, retained as the differential
-                  oracle for the MVCC path.
+  prunes audits which provably cannot match an incoming query.
 
 TENANCY (multi-tenant audexd; org-scoped shards):
   One daemon serves many isolated tenants. Each tenant owns an independent
@@ -478,19 +469,17 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
             snap.misses,
             db.snapshot_cache_len()
         );
-        if let Some(m) = db.mvcc_stats() {
-            let scan = db.mvcc_scan_stats();
-            println!(
-                "mvcc store: {} live / {} dead version(s), ~{} byte(s); \
-                 {} visibility probe(s), {} chain entr{} examined",
-                m.live_versions,
-                m.dead_versions,
-                m.approx_bytes,
-                scan.probes,
-                scan.versions_examined,
-                if scan.versions_examined == 1 { "y" } else { "ies" },
-            );
-        }
+        let (m, scan) = (db.mvcc_stats(), db.mvcc_scan_stats());
+        println!(
+            "mvcc store: {} live / {} dead version(s), ~{} byte(s); \
+             {} visibility probe(s), {} chain entr{} examined",
+            m.live_versions,
+            m.dead_versions,
+            m.approx_bytes,
+            scan.probes,
+            scan.versions_examined,
+            if scan.versions_examined == 1 { "y" } else { "ies" },
+        );
         if let Some(d) = &dispatch {
             println!(
                 "dispatch index (recovery replay): {} probes, {} audits pruned, \
@@ -529,10 +518,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut trace_out: Option<String> = None;
     let mut limits = audex::core::ResourceLimits::unlimited();
     let mut threads: Option<usize> = None;
-    let mut scan_all_audits = false;
     let mut redact_log = false;
     let mut review_budget: Option<u64> = None;
-    let mut storage = audex::storage::StorageMode::default();
     let mut front = FrontDoorConfig::default();
     let mut front_tuned = false;
 
@@ -649,15 +636,6 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 }
                 threads = Some(n);
             }
-            "--scan-all-audits" => scan_all_audits = true,
-            "--storage" => {
-                let text = take_value(args, &mut i, "--storage")?;
-                storage = match text.as_str() {
-                    "mvcc" => audex::storage::StorageMode::Mvcc,
-                    "replay" => audex::storage::StorageMode::Replay,
-                    other => return Err(format!("invalid --storage mode {other:?}")),
-                };
-            }
             "--redact-log" => redact_log = true,
             "--review-budget" => {
                 let text = take_value(args, &mut i, "--review-budget")?;
@@ -694,10 +672,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         parallelism: threads.unwrap_or_else(audex::core::default_parallelism),
         checkpoint_every,
         metrics_every,
-        scan_all_audits,
         redact_log,
         review_budget,
-        storage,
         ..Default::default()
     };
 
@@ -721,12 +697,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
         let db = match db_path {
             Some(path) => {
                 let text = std::fs::read_to_string(&path).map_err(|e| format!("{path}: {e}"))?;
-                let db = load_database_script(&text).map_err(|e| format!("{path}: {e}"))?;
-                if db.storage_mode() == storage {
-                    db
-                } else {
-                    db.converted(storage).map_err(|e| format!("{path}: {e}"))?
-                }
+                load_database_script(&text).map_err(|e| format!("{path}: {e}"))?
             }
             None => audex::Database::new(),
         };
@@ -929,9 +900,7 @@ fn cmd_compact(args: &[String]) -> Result<(), String> {
         jc.segments,
         jc.segment_bytes,
     );
-    if let Some(line) = mvcc_gc_report(core.db()) {
-        println!("{line}");
-    }
+    println!("{}", mvcc_gc_report(core.db()));
     // Compact every named tenant store too; failures are reported but do
     // not abort the remaining tenants.
     let mut failed = Vec::new();
@@ -970,19 +939,17 @@ fn compact_tenant_store(dir: &Path) -> Result<String, String> {
         "checkpoint covers {} record(s); {} live segment(s), {} byte(s)",
         jc.last_checkpoint_seq, jc.segments, jc.segment_bytes,
     );
-    if let Some(mvcc) = mvcc_gc_report(core.db()) {
-        line.push_str("; ");
-        line.push_str(&mvcc);
-    }
+    line.push_str("; ");
+    line.push_str(&mvcc_gc_report(core.db()));
     Ok(line)
 }
 
-/// Dead-version occupancy of an MVCC store (`None` in replay mode). Dead
-/// versions are *reported*, never dropped: reclaiming them would truncate
-/// the backlog relations (`b-T`) audits depend on, so compaction's GC story
-/// for tuple versions is visibility, not deletion.
-fn mvcc_gc_report(db: &audex::storage::Database) -> Option<String> {
-    let stats = db.mvcc_stats()?;
+/// Dead-version occupancy of the version stores. Dead versions are
+/// *reported*, never dropped: reclaiming them would truncate the backlog
+/// relations (`b-T`) audits depend on, so compaction's GC story for tuple
+/// versions is visibility, not deletion.
+fn mvcc_gc_report(db: &audex::storage::Database) -> String {
+    let stats = db.mvcc_stats();
     let mut line = format!(
         "mvcc: {} live / {} dead version(s), ~{} byte(s) retained for time travel",
         stats.live_versions, stats.dead_versions, stats.approx_bytes,
@@ -996,7 +963,7 @@ fn mvcc_gc_report(db: &audex::storage::Database) -> Option<String> {
     if !per_table.is_empty() {
         line.push_str(&format!(" (dead by table: {})", per_table.join(", ")));
     }
-    Some(line)
+    line
 }
 
 /// Offline triage report: recover a store read-only and print the review

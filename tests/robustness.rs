@@ -324,6 +324,24 @@ fn backlog_cutoff_fails_historical_audits_only() {
     );
 }
 
+/// The service serves the database it is handed — armed fault plan included
+/// — rather than substituting one of its own.
+#[test]
+fn service_core_keeps_the_database_it_is_handed() {
+    use audex::service::{Json, Request, ServiceConfig, ServiceCore};
+
+    let mut db = audex::storage::Database::new();
+    db.arm_faults(FaultPlan::new().fail_all_scans("t"));
+    let mut core = ServiceCore::new(db, ServiceConfig::default());
+    let mut dml = |ts, sql: &str| core.handle(Request::Dml { ts, sql: sql.into() }).response;
+    let r = dml(Timestamp(1), "CREATE TABLE t (a INT)");
+    assert_eq!(r.get("ok"), Some(&Json::Bool(true)), "{r}");
+    let r = dml(Timestamp(2), "INSERT INTO t VALUES (1)");
+    assert_eq!(r.get("ok"), Some(&Json::Bool(false)), "{r}");
+    let error = r.get("error").and_then(Json::as_str).unwrap();
+    assert!(error.contains("injected storage fault"), "{error}");
+}
+
 // ---------------------------------------------------------------------------
 // The `audex` binary: messages on stderr, exit codes that scripts can trust.
 // ---------------------------------------------------------------------------
@@ -435,6 +453,20 @@ fn binary_reports_structured_errors_with_nonzero_exit() {
 
     std::fs::remove_file(db).ok();
     std::fs::remove_file(log).ok();
+}
+
+/// The engine- and dispatch-selection flags are gone, not hidden: `serve`
+/// refuses each by name.
+#[test]
+fn serve_rejects_the_removed_mode_flags_by_name() {
+    for args in [
+        &["serve", "--stdio", "--storage", "replay"][..],
+        &["serve", "--stdio", "--scan-all-audits"],
+    ] {
+        let (status, _, stderr) = run_audex(args);
+        assert_eq!(status.code(), Some(1), "{args:?}: {stderr}");
+        assert!(stderr.contains(&format!("unknown option {:?}", args[2])), "{stderr}");
+    }
 }
 
 // ---------------------------------------------------------------------------

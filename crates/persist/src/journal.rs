@@ -1,5 +1,7 @@
-//! The journal: one handle tying WAL + checkpoints together and plugging
-//! into the live service as a change/log sink.
+//! The journal: one handle tying WAL + checkpoints together. The live
+//! service appends every record it applies through [`Journal::append`];
+//! DML alone arrives through the [`ChangeSink`] the journal implements,
+//! because one statement emits many change records.
 //!
 //! The journal keeps the **full logical record stream** (`history`) in
 //! memory alongside the on-disk WAL. That is a deliberate trade-off: the
@@ -7,21 +9,21 @@
 //! log), so the journal's copy adds a constant factor, and it lets a
 //! checkpoint be assembled without re-reading and re-decoding segments.
 //!
-//! Sink callbacks ([`ChangeSink`], [`LogSink`]) fire *after* the in-memory
-//! mutation has committed, so they cannot veto it. A journal that hits an
-//! I/O error therefore **wedges**: it stops appending, remembers the error,
-//! and surfaces it through [`Journal::wedged`] / the service's stats — the
-//! in-memory service keeps running, but durability is honestly reported as
-//! lost from that point.
+//! Every append arrives *after* the in-memory mutation has committed, so
+//! it cannot veto it. A journal that hits an I/O error therefore
+//! **wedges**: it stops appending, remembers the error, and surfaces it
+//! through [`Journal::wedged`] / the service's stats — the in-memory
+//! service keeps running, but durability is honestly reported as lost
+//! from that point.
 
 use std::path::{Path, PathBuf};
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use audex_core::{AuditBatchState, BaseColumn, QueryFootprint};
-use audex_log::{LogSink, LoggedQuery, QueryId};
+use audex_core::{AuditBatchState, QueryFootprint};
+use audex_log::QueryId;
 use audex_sql::{Ident, Timestamp};
 use audex_storage::{ChangeRecord, ChangeSink, IoFaultState, Schema};
-use audex_triage::{RedactedScore, TriageItem};
+use audex_triage::TriageItem;
 
 use crate::checkpoint::{self, CheckpointState, DbSnapshot};
 use crate::error::{PersistError, Result};
@@ -125,10 +127,6 @@ struct Inner {
     checkpoints_written: u64,
     last_checkpoint_seq: u64,
     wedged: Option<String>,
-    /// Under `--redact-log` the [`LogSink`] callback is suppressed: the
-    /// service journals a [`WalRecord::LogAppendRedacted`] itself after
-    /// scoring, so raw SQL never reaches the WAL.
-    redacted: bool,
     obs: JournalObs,
 }
 
@@ -156,19 +154,7 @@ impl Journal {
     /// service state.
     pub fn open(dir: &Path, options: WalOptions) -> Result<(Arc<Journal>, Recovered)> {
         std::fs::create_dir_all(dir).map_err(PersistError::io_at("create store directory", dir))?;
-        let (checkpoint, mut notes) = checkpoint::load_latest(dir)?;
-        let covers = checkpoint.as_ref().map_or(0, |c| c.covers_seq);
-        if let Some(c) = &checkpoint {
-            if c.records.len() as u64 != c.covers_seq {
-                return Err(PersistError::Corrupt {
-                    site: format!(
-                        "checkpoint covers seq {} but stores {} records",
-                        c.covers_seq,
-                        c.records.len()
-                    ),
-                });
-            }
-        }
+        let (checkpoint, mut notes, covers) = load_checkpoint(dir)?;
 
         // Peek at the WAL before opening for append: if it ends *before*
         // the checkpoint's coverage (a crash under fsync=never can lose
@@ -194,15 +180,7 @@ impl Journal {
         // The appender reuses the peek scan — a second full decode of every
         // segment would double the recovery cost of large stores.
         let (wal, scan) = Wal::open_scanned(dir, options, covers, peek)?;
-        if scan.first_seq > covers {
-            return Err(PersistError::Corrupt {
-                site: format!(
-                    "gap between checkpoint (covers seq {covers}) and oldest WAL segment \
-                     (starts at seq {})",
-                    scan.first_seq
-                ),
-            });
-        }
+        let tail = tail_past(covers, scan.first_seq, scan.records)?;
         if let Some(t) = &scan.torn {
             notes.push(format!(
                 "torn tail in {}: dropped {} trailing byte(s) past the last valid record",
@@ -210,11 +188,6 @@ impl Journal {
                 t.dropped_bytes
             ));
         }
-
-        // Records below `covers` duplicate the checkpoint prefix (segments
-        // not yet pruned); the tail is everything at or past it.
-        let skip = (covers - scan.first_seq) as usize;
-        let tail: Vec<WalRecord> = scan.records.into_iter().skip(skip).collect();
 
         let mut history = checkpoint.as_ref().map_or_else(Vec::new, |c| c.records.clone());
         history.extend(tail.iter().cloned());
@@ -230,7 +203,6 @@ impl Journal {
                 checkpoints_written: 0,
                 last_checkpoint_seq: covers,
                 wedged: None,
-                redacted: false,
                 obs: JournalObs::default(),
             }),
         });
@@ -278,7 +250,7 @@ impl Journal {
         g.publish_obs();
     }
 
-    /// Appends one logical record. Infallible by contract (sinks observe
+    /// Appends one logical record. Infallible by contract (records describe
     /// mutations that already happened): on I/O error the journal wedges —
     /// it stops appending and reports the error via [`Journal::wedged`].
     pub fn append(&self, rec: WalRecord) {
@@ -296,66 +268,6 @@ impl Journal {
         }
         drop(span);
         g.publish_obs();
-    }
-
-    /// Journals an audit registration.
-    pub fn record_register(&self, name: &str, expr: &str, now: Timestamp) {
-        self.append(WalRecord::Register { name: name.to_string(), expr: expr.to_string(), now });
-    }
-
-    /// Journals an audit unregistration.
-    pub fn record_unregister(&self, name: &str) {
-        self.append(WalRecord::Unregister { name: name.to_string() });
-    }
-
-    /// Switches raw-SQL suppression on or off. While on, the [`LogSink`]
-    /// callback journals nothing — the service must journal the redacted
-    /// form via [`Journal::record_log_redacted`] instead.
-    pub fn set_redacted(&self, redacted: bool) {
-        self.lock().redacted = redacted;
-    }
-
-    /// Journals a review-queue acknowledgement.
-    pub fn record_review_ack(&self, query: QueryId) {
-        self.append(WalRecord::ReviewAck { query });
-    }
-
-    /// Journals a review-queue dismissal.
-    pub fn record_review_dismiss(&self, query: QueryId) {
-        self.append(WalRecord::ReviewDismiss { query });
-    }
-
-    /// Journals a template-wide bulk acknowledgement as one record.
-    pub fn record_review_ack_bulk(&self, queries: Vec<QueryId>) {
-        self.append(WalRecord::ReviewAckBulk { queries });
-    }
-
-    /// Journals a triage sensitivity weight.
-    pub fn record_weight(&self, table: Ident, column: Option<Ident>, weight: f64) {
-        self.append(WalRecord::SetWeight { table, column, weight });
-    }
-
-    /// Journals the redacted form of a log append: structural metadata, a
-    /// hash of the text, and the redacted scores — never the raw SQL.
-    #[allow(clippy::too_many_arguments)]
-    pub fn record_log_redacted(
-        &self,
-        entry: &LoggedQuery,
-        sql_hash: u64,
-        tables: Vec<Ident>,
-        accessed: Vec<BaseColumn>,
-        scores: Vec<RedactedScore>,
-    ) {
-        self.append(WalRecord::LogAppendRedacted {
-            ts: entry.executed_at,
-            user: entry.context.user.clone(),
-            role: entry.context.role.clone(),
-            purpose: entry.context.purpose.clone(),
-            sql_hash,
-            tables,
-            accessed,
-            scores,
-        });
     }
 
     /// Flushes pending appends to stable storage.
@@ -463,37 +375,10 @@ impl ChangeSink for Journal {
     }
 }
 
-impl LogSink for Journal {
-    fn on_append(&self, entry: &LoggedQuery) {
-        if self.lock().redacted {
-            return;
-        }
-        self.append(WalRecord::LogAppend {
-            ts: entry.executed_at,
-            user: entry.context.user.clone(),
-            role: entry.context.role.clone(),
-            purpose: entry.context.purpose.clone(),
-            sql: entry.text.clone(),
-        });
-    }
-}
-
 /// Reads a data directory **without modifying it**: no torn-tail repair, no
 /// segment drops. Used by read-only consumers (`audex audit --data-dir`).
 pub fn read_store(dir: &Path) -> Result<Recovered> {
-    let (checkpoint, mut notes) = checkpoint::load_latest(dir)?;
-    let covers = checkpoint.as_ref().map_or(0, |c| c.covers_seq);
-    if let Some(c) = &checkpoint {
-        if c.records.len() as u64 != c.covers_seq {
-            return Err(PersistError::Corrupt {
-                site: format!(
-                    "checkpoint covers seq {} but stores {} records",
-                    c.covers_seq,
-                    c.records.len()
-                ),
-            });
-        }
-    }
+    let (checkpoint, mut notes, covers) = load_checkpoint(dir)?;
     let scan = wal::scan_dir(dir, covers)?;
     if scan.next_seq < covers {
         notes.push(format!(
@@ -509,15 +394,7 @@ pub fn read_store(dir: &Path) -> Result<Recovered> {
             next_seq: covers,
         });
     }
-    if scan.first_seq > covers {
-        return Err(PersistError::Corrupt {
-            site: format!(
-                "gap between checkpoint (covers seq {covers}) and oldest WAL segment (starts at \
-                 seq {})",
-                scan.first_seq
-            ),
-        });
-    }
+    let tail = tail_past(covers, scan.first_seq, scan.records)?;
     if let Some(t) = &scan.torn {
         notes.push(format!(
             "torn tail in {}: ignoring {} trailing byte(s) (read-only; run `audex recover` to \
@@ -526,9 +403,37 @@ pub fn read_store(dir: &Path) -> Result<Recovered> {
             t.dropped_bytes
         ));
     }
-    let skip = (covers - scan.first_seq) as usize;
-    let tail: Vec<WalRecord> = scan.records.into_iter().skip(skip).collect();
     Ok(Recovered { checkpoint, tail, torn: scan.torn, notes, next_seq: scan.next_seq })
+}
+
+/// The newest loadable checkpoint, the notes from loading it, and the
+/// sequence number it covers. A checkpoint whose record prefix is not
+/// exactly that long is corrupt.
+fn load_checkpoint(dir: &Path) -> Result<(Option<CheckpointState>, Vec<String>, u64)> {
+    let (checkpoint, notes) = checkpoint::load_latest(dir)?;
+    let covers = checkpoint.as_ref().map_or(0, |c| c.covers_seq);
+    if let Some(c) = checkpoint.as_ref().filter(|c| c.records.len() as u64 != covers) {
+        return Err(PersistError::Corrupt {
+            site: format!("checkpoint covers seq {covers} but stores {} records", c.records.len()),
+        });
+    }
+    Ok((checkpoint, notes, covers))
+}
+
+/// The WAL tail past a checkpoint covering `covers` records, from a scan
+/// whose records start at `first_seq`: records below `covers` duplicate the
+/// checkpoint prefix (segments not yet pruned). A WAL starting past the
+/// checkpoint leaves a gap, which is corruption.
+fn tail_past(covers: u64, first_seq: u64, records: Vec<WalRecord>) -> Result<Vec<WalRecord>> {
+    if first_seq > covers {
+        return Err(PersistError::Corrupt {
+            site: format!(
+                "gap between checkpoint (covers seq {covers}) and oldest WAL segment (starts at \
+                 seq {first_seq})"
+            ),
+        });
+    }
+    Ok(records.into_iter().skip((covers - first_seq) as usize).collect())
 }
 
 #[cfg(test)]
@@ -588,10 +493,24 @@ mod tests {
         db.execute(&stmt, ts).unwrap();
     }
 
-    /// Drives a database + query log through the journal sinks.
+    /// Appends to `log` and journals that append, as the service does.
+    fn log_append(log: &QueryLog, journal: &Journal, sql: &str, ts: Timestamp, who: &str) {
+        let context = AccessContext::new(who, "nurse", "care");
+        let (user, role, purpose) =
+            (context.user.clone(), context.role.clone(), context.purpose.clone());
+        log.record_text(sql, ts, context).unwrap();
+        journal.append(WalRecord::LogAppend { ts, user, role, purpose, sql: sql.into() });
+    }
+
+    fn register(journal: &Journal, name: &str, ts: i64) {
+        let (name, expr) = (name.to_string(), "AUDIT x FROM t".to_string());
+        journal.append(WalRecord::Register { name, expr, now: Timestamp(ts) });
+    }
+
+    /// Drives a database through the change sink and a query log plus an
+    /// audit (un)registration through [`Journal::append`].
     fn drive(db: &mut Database, log: &QueryLog, journal: &Arc<Journal>) {
         db.set_change_sink(Arc::clone(journal) as Arc<dyn ChangeSink>);
-        log.set_sink(Arc::clone(journal) as Arc<dyn LogSink>);
         db.create_table(
             Ident::new("patients"),
             Schema::new(vec![
@@ -606,18 +525,13 @@ mod tests {
         exec(db, "INSERT INTO patients VALUES ('bob', 'cold')", Timestamp(3));
         exec(db, "UPDATE patients SET disease = 'measles' WHERE name = 'bob'", Timestamp(4));
         exec(db, "DELETE FROM patients WHERE name = 'alice'", Timestamp(5));
-        log.record_text(
-            "SELECT disease FROM patients",
-            Timestamp(6),
-            AccessContext::new("u", "nurse", "care"),
-        )
-        .unwrap();
-        journal.record_register("a1", "AUDIT disease FROM patients", Timestamp(7));
-        journal.record_unregister("a1");
+        log_append(log, journal, "SELECT disease FROM patients", Timestamp(6), "u");
+        register(journal, "a1", 7);
+        journal.append(WalRecord::Unregister { name: "a1".into() });
     }
 
     #[test]
-    fn sinks_journal_everything_and_replay_rebuilds_equal_state() {
+    fn journaled_records_replay_to_equal_state() {
         let dir = tmp("sinks");
         let (journal, rec0) = Journal::open(&dir, opts()).unwrap();
         assert_eq!(rec0.total_records(), 0);
@@ -662,12 +576,7 @@ mod tests {
         assert_eq!(journal.checkpoint_lag(), 0);
 
         // Post-checkpoint activity forms the tail.
-        log.record_text(
-            "SELECT name FROM patients",
-            Timestamp(8),
-            AccessContext::new("u2", "admin", "ops"),
-        )
-        .unwrap();
+        log_append(&log, &journal, "SELECT name FROM patients", Timestamp(8), "u2");
         assert_eq!(journal.checkpoint_lag(), 1);
         let c = journal.counters();
         assert_eq!(c.checkpoints_written, 1);
@@ -692,12 +601,12 @@ mod tests {
         journal.set_io_faults(Arc::new(IoFaultState::new(
             audex_storage::IoFaultPlan::new().short_write(2, 3),
         )));
-        journal.record_register("a", "AUDIT x FROM t", Timestamp(1));
+        register(&journal, "a", 1);
         assert!(journal.wedged().is_none());
-        journal.record_register("b", "AUDIT y FROM t", Timestamp(2)); // short write
+        register(&journal, "b", 2); // short write
         let wedge = journal.wedged().expect("journal wedged after injected short write");
         assert!(wedge.contains("short write"), "{wedge}");
-        journal.record_register("c", "AUDIT z FROM t", Timestamp(3)); // dropped
+        register(&journal, "c", 3); // dropped
         assert_eq!(journal.counters().records_appended, 1);
         assert!(journal
             .write_checkpoint(CheckpointDerived {
@@ -719,51 +628,10 @@ mod tests {
     }
 
     #[test]
-    fn redacted_mode_keeps_raw_sql_out_of_the_wal() {
-        let dir = tmp("redact");
-        let (journal, _) = Journal::open(&dir, opts()).unwrap();
-        journal.set_redacted(true);
-        let log = QueryLog::new();
-        log.set_sink(Arc::clone(&journal) as Arc<dyn LogSink>);
-        let sql = "SELECT disease FROM patients WHERE name = 'alice'";
-        log.record_text(sql, Timestamp(1), AccessContext::new("u", "nurse", "care")).unwrap();
-        // The sink journaled nothing; the service-side redacted record does.
-        assert_eq!(journal.counters().records_appended, 0);
-        let entry = log.snapshot().pop().unwrap();
-        journal.record_log_redacted(
-            &entry,
-            audex_triage::fnv1a64(sql.as_bytes()),
-            vec![Ident::new("patients")],
-            vec![(Ident::new("patients"), Ident::new("disease"))],
-            vec![],
-        );
-        journal.sync().unwrap();
-        assert_eq!(journal.counters().records_appended, 1);
-        drop(journal);
-
-        // Nothing on disk contains the query text.
-        for f in std::fs::read_dir(&dir).unwrap() {
-            let bytes = std::fs::read(f.unwrap().path()).unwrap();
-            let hay = String::from_utf8_lossy(&bytes);
-            assert!(!hay.contains("SELECT"), "raw SQL leaked into the store");
-            assert!(!hay.contains("alice"), "literal leaked into the store");
-        }
-        let (_, recovered) = Journal::open(&dir, opts()).unwrap();
-        match &recovered.tail[..] {
-            [WalRecord::LogAppendRedacted { sql_hash, tables, .. }] => {
-                assert_eq!(*sql_hash, audex_triage::fnv1a64(sql.as_bytes()));
-                assert_eq!(tables, &vec![Ident::new("patients")]);
-            }
-            other => panic!("expected one redacted append, got {other:?}"),
-        }
-        std::fs::remove_dir_all(&dir).unwrap();
-    }
-
-    #[test]
     fn read_store_is_non_destructive() {
         let dir = tmp("readonly");
         let (journal, _) = Journal::open(&dir, opts()).unwrap();
-        journal.record_register("a", "AUDIT x FROM t", Timestamp(1));
+        register(&journal, "a", 1);
         journal.sync().unwrap();
         drop(journal);
         // Tear the tail by hand.
@@ -788,7 +656,7 @@ mod tests {
         let dir = tmp("gap");
         let (journal, _) = Journal::open(&dir, opts()).unwrap();
         for i in 0..3 {
-            journal.record_register(&format!("a{i}"), "AUDIT x FROM t", Timestamp(i));
+            register(&journal, &format!("a{i}"), i);
         }
         drop(journal);
         // Fabricate a WAL whose oldest segment claims to start past any

@@ -18,10 +18,10 @@
 //!   tenants get independent stores under `tenants/<name>/`, and dropped
 //!   tenants are retired by rename, never deleted.
 //!
-//! The [`journal::Journal`] is the only handle the service needs: it is an
-//! [`audex_storage::ChangeSink`] and an [`audex_log::LogSink`], so once
-//! attached, every committed mutation and log append is journaled
-//! synchronously, in order, exactly once.
+//! The [`journal::Journal`] is the only handle the service needs: committed
+//! DML reaches it as an [`audex_storage::ChangeSink`], and the service
+//! appends every other record itself after the mutation commits — so each
+//! is journaled synchronously, in order, exactly once.
 //!
 //! Std-only by workspace policy: the codec ([`codec`]) is hand-rolled
 //! little-endian framing with a CRC-32 per WAL frame and per checkpoint

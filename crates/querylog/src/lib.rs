@@ -22,4 +22,4 @@ pub mod log;
 
 pub use entry::{AccessContext, AccessedColumn, LoggedQuery, QueryId};
 pub use filter::AccessFilter;
-pub use log::{AppendError, LogSink, QueryLog};
+pub use log::{AppendError, QueryLog};

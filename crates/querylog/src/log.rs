@@ -1,21 +1,10 @@
 //! The append-only query log.
 
-use audex_sql::ast::Query;
 use audex_sql::{ParseError, Timestamp};
 use std::fmt;
-use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
+use std::sync::{Arc, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
 use crate::entry::{AccessContext, LoggedQuery, QueryId};
-
-/// Observer of successful log appends, called synchronously under the log's
-/// write lock so a journal sees entries exactly once, in id order.
-///
-/// Infallible by design: a sink that cannot persist stashes the error and
-/// surfaces it through its own diagnostics (the entry is already appended).
-pub trait LogSink: Send + Sync {
-    /// `entry` was appended to the log.
-    fn on_append(&self, entry: &LoggedQuery);
-}
 
 /// Why a validated append was refused (see [`QueryLog::append_validated`]).
 #[derive(Debug)]
@@ -69,20 +58,14 @@ impl From<ParseError> for AppendError {
 #[derive(Default)]
 pub struct QueryLog {
     inner: RwLock<Vec<Arc<LoggedQuery>>>,
-    /// Append observer (see [`LogSink`]); invisible to everything else.
-    sink: Mutex<Option<Arc<dyn LogSink>>>,
     /// Telemetry mirror of the append count (no-op unless wired via
-    /// [`QueryLog::set_obs`]); invisible to equality like the sink.
-    appends: Mutex<audex_obs::Counter>,
+    /// [`QueryLog::set_obs`]); invisible to everything else.
+    appends: audex_obs::Counter,
 }
 
 impl fmt::Debug for QueryLog {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        f.debug_struct("QueryLog")
-            .field("inner", &self.read())
-            .field("sink", &sink.as_ref().map(|_| "attached"))
-            .finish()
+        f.debug_struct("QueryLog").field("inner", &self.read()).finish()
     }
 }
 
@@ -92,33 +75,14 @@ impl QueryLog {
         Self::default()
     }
 
-    /// Attaches a [`LogSink`] observing every subsequent successful append.
-    /// Replaces any previous sink.
-    pub fn set_sink(&self, sink: Arc<dyn LogSink>) {
-        *self.sink.lock().unwrap_or_else(|e| e.into_inner()) = Some(sink);
-    }
-
-    /// Detaches the append sink, if any.
-    pub fn clear_sink(&self) {
-        *self.sink.lock().unwrap_or_else(|e| e.into_inner()) = None;
-    }
-
     /// Counts every subsequent successful append into `registry` as
     /// `audex_querylog_appends_total`.
-    pub fn set_obs(&self, registry: &audex_obs::Registry) {
-        *self.appends.lock().unwrap_or_else(|e| e.into_inner()) = registry.counter(
+    pub fn set_obs(&mut self, registry: &audex_obs::Registry) {
+        self.appends = registry.counter(
             "audex_querylog_appends_total",
             "Queries appended to the user-accesses log.",
             &[],
         );
-    }
-
-    fn notify(&self, entry: &LoggedQuery) {
-        self.appends.lock().unwrap_or_else(|e| e.into_inner()).inc();
-        let sink = self.sink.lock().unwrap_or_else(|e| e.into_inner());
-        if let Some(s) = sink.as_ref() {
-            s.on_append(entry);
-        }
     }
 
     // The log's invariants (dense ids, append-only vector) hold even when a
@@ -131,12 +95,6 @@ impl QueryLog {
         self.inner.write().unwrap_or_else(|e| e.into_inner())
     }
 
-    /// Appends an already-parsed query; returns its id.
-    pub fn record(&self, query: Query, executed_at: Timestamp, context: AccessContext) -> QueryId {
-        let text = query.to_string();
-        self.record_with_text(query, text, executed_at, context)
-    }
-
     /// Parses and appends query text; returns its id.
     pub fn record_text(
         &self,
@@ -145,7 +103,7 @@ impl QueryLog {
         context: AccessContext,
     ) -> Result<QueryId, ParseError> {
         let query = audex_sql::parse_query(sql)?;
-        Ok(self.record_with_text(query, sql.to_string(), executed_at, context))
+        Ok(self.push_next(|id| LoggedQuery::new(id, query, sql.to_string(), executed_at, context)))
     }
 
     /// Parses and appends query text like [`QueryLog::record_text`], but
@@ -192,7 +150,7 @@ impl QueryLog {
         if entry.id != expected {
             return Err(AppendError::IdMismatch { expected, offered: entry.id });
         }
-        self.notify(&entry);
+        self.appends.inc();
         guard.push(entry);
         Ok(expected)
     }
@@ -208,26 +166,15 @@ impl QueryLog {
         executed_at: Timestamp,
         context: AccessContext,
     ) -> QueryId {
-        let mut guard = self.write();
-        let id = QueryId(guard.len() as u64 + 1);
-        let entry = Arc::new(LoggedQuery::prevalidated(id, sql.to_string(), executed_at, context));
-        self.notify(&entry);
-        guard.push(entry);
-        id
+        self.push_next(|id| LoggedQuery::prevalidated(id, sql.to_string(), executed_at, context))
     }
 
-    fn record_with_text(
-        &self,
-        query: Query,
-        text: String,
-        executed_at: Timestamp,
-        context: AccessContext,
-    ) -> QueryId {
+    /// Appends, unchecked, the entry `build` makes for the next id.
+    fn push_next(&self, build: impl FnOnce(QueryId) -> LoggedQuery) -> QueryId {
         let mut guard = self.write();
         let id = QueryId(guard.len() as u64 + 1);
-        let entry = Arc::new(LoggedQuery::new(id, query, text, executed_at, context));
-        self.notify(&entry);
-        guard.push(entry);
+        guard.push(Arc::new(build(id)));
+        self.appends.inc();
         id
     }
 
@@ -318,21 +265,12 @@ mod tests {
 
     #[test]
     fn append_validated_logs_the_callers_entry_under_the_same_checks() {
-        #[derive(Default)]
-        struct Seen(Mutex<Vec<QueryId>>);
-        impl LogSink for Seen {
-            fn on_append(&self, entry: &LoggedQuery) {
-                self.0.lock().unwrap().push(entry.id);
-            }
-        }
         let entry = |id: u64, ts: i64| {
             let sql = "SELECT a FROM t";
             let query = audex_sql::parse_query(sql).unwrap();
             Arc::new(LoggedQuery::new(QueryId(id), query, sql.to_string(), Timestamp(ts), ctx()))
         };
         let log = QueryLog::new();
-        let seen = Arc::new(Seen::default());
-        log.set_sink(seen.clone());
         let first = entry(1, 10);
         assert_eq!(log.append_validated(Arc::clone(&first)).unwrap(), QueryId(1));
         assert!(Arc::ptr_eq(&log.get(QueryId(1)).unwrap(), &first), "no second entry is built");
@@ -352,8 +290,9 @@ mod tests {
         ));
         assert!(err.to_string().contains("next id is q3"), "{err}");
         assert_eq!(log.append_validated(entry(3, 11)).unwrap(), QueryId(3));
-        // The sink saw exactly the accepted appends, in id order.
-        assert_eq!(*seen.0.lock().unwrap(), vec![QueryId(1), QueryId(2), QueryId(3)]);
+        // Exactly the accepted appends, in id order.
+        let ids: Vec<QueryId> = log.snapshot().iter().map(|e| e.id).collect();
+        assert_eq!(ids, vec![QueryId(1), QueryId(2), QueryId(3)]);
     }
 
     #[test]

@@ -4,10 +4,10 @@
 //! for the online version. This crate is that daemon: a long-running
 //! service that ingests timestamped DML and annotated queries as a stream,
 //! scores every query on arrival against standing audit expressions
-//! ([`audex_core::OnlineAuditor`]), folds its footprint into an
-//! incrementally maintained [`audex_core::TouchIndex`]
-//! ([`TouchIndex::extend`](audex_core::TouchIndex::extend) — equivalent to
-//! a from-scratch build, proven by differential proptest), and answers
+//! ([`audex_core::OnlineAuditor`]), folds the footprint that same
+//! execution yields into an incrementally maintained
+//! [`audex_core::TouchIndex`] (equivalent to a from-scratch build, proven
+//! by differential proptest), and answers
 //! full `audit` requests straight from the index without re-running the
 //! log.
 //!

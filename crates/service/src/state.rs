@@ -9,14 +9,22 @@
 //!
 //! # Invariant: the index mirrors the log
 //!
-//! Every entry appended to the log is first folded into the touch index
-//! (footprint executed once, at the entry's own execution instant — the
-//! paper's backlog methodology makes later DML irrelevant to earlier
-//! footprints, so the fold never needs revisiting). Admission control runs
-//! *before* mutation: if the request's governor trips while computing the
-//! footprint, the entry is rejected whole — no log append, no index
-//! growth, `"busy":true` in the response — so a rejected request leaves no
-//! trace and the client can simply retry.
+//! Every entry appended to the log is folded into the touch index in the
+//! same step (footprint executed once, at the entry's own execution
+//! instant — the paper's backlog methodology makes later DML irrelevant to
+//! earlier footprints, so the fold never needs revisiting). Admission
+//! control runs *before* mutation: if the request's governor trips, the
+//! entry is rejected whole — no log append, no index growth, `"busy":true`
+//! in the response — so a rejected request leaves no trace and the client
+//! can simply retry.
+//!
+//! # One mutator per journaled record
+//!
+//! `ServiceCore::apply` turns a [`WalRecord`] into state for live handlers
+//! (which validate, build the record, apply it and journal that same
+//! record) and WAL-tail recovery alike; every log entry goes through
+//! `ServiceCore::ingest`. Only DML is journaled another way, through
+//! [`audex_storage::ChangeSink`]: one statement emits many change records.
 //!
 //! # Pinned audits
 //!
@@ -31,12 +39,11 @@ use std::sync::Arc;
 
 use audex_core::{
     AuditEngine, AuditError, AuditId, AuditPhase, EngineObs, EngineOptions, Governor,
-    OnlineAuditor, PreparedAudit, ResourceLimits, TouchIndex,
+    OnlineAuditor, PreparedAudit, QueryScore, ResourceLimits, TouchIndex,
 };
-use audex_log::{AccessContext, LoggedQuery, QueryId, QueryLog};
+use audex_log::{AccessContext, AppendError, LoggedQuery, QueryId, QueryLog};
 use audex_obs::{Counter, Gauge, Histogram, Registry, Tracer};
 use audex_persist::{CheckpointDerived, DbSnapshot, Journal, PersistError, Recovered, WalRecord};
-use audex_sql::ast::AuditExpr;
 use audex_sql::{Ident, Timestamp};
 use audex_storage::{ChangeSink, Database, JoinStrategy};
 use audex_triage::{fnv1a64, RedactedScore, ReviewQueue, ReviewState};
@@ -64,9 +71,9 @@ pub struct ServiceConfig {
     /// queries. `None` disables periodic metrics events (the `metrics`
     /// request still answers on demand).
     pub metrics_every: Option<u64>,
-    /// Keep raw SQL out of durable storage (`--redact-log`): the journal's
-    /// log sink is suppressed and each accepted append is journaled as
-    /// structural metadata plus a hash instead.
+    /// Keep raw SQL out of durable storage (`--redact-log`): each accepted
+    /// append is journaled as structural metadata plus a hash instead of
+    /// its text.
     pub redact_log: bool,
     /// Auditor review budget: the default page size of the `queue` command
     /// (`--review-budget`). `None` falls back to 10.
@@ -81,10 +88,14 @@ pub struct ServiceCounters {
     /// Log entries accepted, scored and indexed.
     pub queries_ingested: u64,
     /// Requests refused (parse errors, order violations, governor trips).
+    /// Refusals never reach the WAL, so recovery restarts this from the
+    /// checkpoint's value (0 without one).
     pub queries_rejected: u64,
-    /// DML statements applied to the backlog.
+    /// DML statements applied to the backlog. Statement boundaries are not
+    /// journaled, so past the checkpoint recovery counts change records.
     pub dml_statements: u64,
-    /// Requests that hit a governor limit (deadline/step budget).
+    /// Requests that hit a governor limit (deadline/step budget). Like
+    /// `queries_rejected`, restarts from the checkpoint's value on recovery.
     pub governor_trips: u64,
     /// Score/verdict events produced for subscribers. Periodic `metrics`
     /// events are *not* counted: recovery replay does not re-emit them, and
@@ -159,6 +170,11 @@ impl CoreMetrics {
         }
     }
 
+    /// The counters a checkpoint carries, in its order.
+    fn checkpointed(&self) -> [&Counter; 5] {
+        [&self.ingested, &self.rejected, &self.dml, &self.governor_rejections, &self.events]
+    }
+
     fn publish_triage(&self, queue: &ReviewQueue) {
         let c = queue.counts();
         self.triage_open.set(c.open as i64);
@@ -224,7 +240,7 @@ impl ServiceCore {
         let registry = Registry::new();
         let tracer = Tracer::disabled();
         db.set_obs(&registry);
-        let log = QueryLog::new();
+        let mut log = QueryLog::new();
         log.set_obs(&registry);
         let metrics = CoreMetrics::new(&registry);
         let engine_obs = EngineObs::new(Arc::clone(&registry), Arc::clone(&tracer));
@@ -278,22 +294,20 @@ impl ServiceCore {
         }
     }
 
-    /// A service whose log already has history (CLI `--log`): the index is
-    /// grown entry-by-entry with [`TouchIndex::extend`], exactly as if the
-    /// entries had arrived over the wire.
+    /// A service whose log already has history (CLI `--log`): every entry
+    /// goes through the same `ingest` step as a `log` request, so the
+    /// index, counters and triage queue are exactly as if the entries had
+    /// arrived over the wire. Refuses, like the wire would, an entry that
+    /// precedes its predecessor.
     pub fn preloaded(
         db: Database,
         log: QueryLog,
         config: ServiceConfig,
-    ) -> Result<ServiceCore, AuditError> {
+    ) -> Result<ServiceCore, AppendError> {
         let mut core = ServiceCore::new(db, config);
-        let governor = Governor::unlimited();
         for entry in log.snapshot() {
-            core.index.extend(&core.db, &entry, config.strategy, &governor)?;
-            core.metrics.ingested.inc();
+            core.ingest(entry)?;
         }
-        log.set_obs(&core.registry);
-        core.log = log;
         Ok(core)
     }
 
@@ -349,13 +363,12 @@ impl ServiceCore {
         (self.db, self.log)
     }
 
-    /// Attaches a durability journal: every subsequent committed DML
-    /// change, log append, and (un)registration is written to its WAL.
-    /// Attach *after* recovery replay, or the replay would be re-journaled.
+    /// Attaches a durability journal: from here on committed DML reaches
+    /// its WAL through the [`ChangeSink`], and every other record is
+    /// appended by the handler that applied it. Attach *after* recovery
+    /// replay, or the replayed DML would be re-journaled.
     pub fn attach_journal(&mut self, journal: Arc<Journal>) {
         self.db.set_change_sink(Arc::clone(&journal) as Arc<dyn ChangeSink>);
-        self.log.set_sink(Arc::clone(&journal) as Arc<dyn audex_log::LogSink>);
-        journal.set_redacted(self.config.redact_log);
         journal.set_obs(&self.registry, Arc::clone(&self.tracer));
         self.journal = Some(journal);
     }
@@ -374,18 +387,11 @@ impl ServiceCore {
             site: "checkpoint requested but no journal is attached".into(),
         })?;
         let (footprints, skipped) = self.index.export();
-        let c = self.counters();
         journal.write_checkpoint(CheckpointDerived {
             footprints,
             skipped,
             audit_states: self.online.export_states(),
-            counters: [
-                c.queries_ingested,
-                c.queries_rejected,
-                c.dml_statements,
-                c.governor_trips,
-                c.events_emitted,
-            ],
+            counters: self.metrics.checkpointed().map(Counter::get),
             triage: self.triage.export(),
             db: self.db.mvcc_stores().map(|stores| DbSnapshot {
                 last_ts: self.db.last_ts(),
@@ -394,21 +400,10 @@ impl ServiceCore {
         })
     }
 
-    /// Rebuilds a service from what [`Journal::open`] recovered, in two
-    /// phases.
-    ///
-    /// **Phase A** (cheap) replays the checkpoint's record prefix: DML is
-    /// applied directly, log appends only repopulate the log (their index
-    /// footprints and audit-state contributions come from the checkpoint's
-    /// derived state), and registrations are re-prepared at their recorded
-    /// `now` against the exact mid-stream database — identical inputs, so
-    /// an identical prepared audit. Then the checkpointed footprints, batch
-    /// states, and counters are restored wholesale.
-    ///
-    /// **Phase B** replays the WAL tail through the full ingest path
-    /// (footprint + online scoring), exactly as if the records had just
-    /// arrived — with unlimited governor limits, since these requests were
-    /// already admitted once.
+    /// Rebuilds a service from what [`Journal::open`] recovered: the
+    /// checkpoint's prefix through `restore_prefix` plus its derived state,
+    /// then the WAL tail through `apply`, the mutator live requests use —
+    /// under an unlimited governor, as every record was admitted once.
     ///
     /// The journal is *not* attached here; attach it after this returns so
     /// replay is not re-journaled.
@@ -424,23 +419,8 @@ impl ServiceCore {
         config: ServiceConfig,
     ) -> Result<ServiceCore, PersistError> {
         let mut core = ServiceCore::new(Database::new(), config);
-
         if let Some(ck) = &mut recovered.checkpoint {
-            // Phase A: rebuild raw state; skip all derived computation.
-            // With a version-store snapshot the covered DML is never
-            // re-applied — the stores restore wholesale and only the
-            // log/audit records are walked — so this phase stops scaling
-            // with the length of the change history. A checkpoint without
-            // one (written before snapshots existed, or by a daemon running
-            // the since-removed replay engine) rebuilds record by record.
-            match ck.db.take() {
-                Some(snap) => core.restore_snapshot_prefix(snap, &ck.records)?,
-                None => {
-                    for (seq, rec) in ck.records.iter().enumerate() {
-                        core.replay_record(rec, seq as u64, false)?;
-                    }
-                }
-            }
+            core.restore_prefix(&ck.records, ck.db.take())?;
             core.index = TouchIndex::from_parts(
                 std::mem::take(&mut ck.footprints),
                 std::mem::take(&mut ck.skipped),
@@ -448,195 +428,107 @@ impl ServiceCore {
             core.online.restore_states(std::mem::take(&mut ck.audit_states)).map_err(|e| {
                 PersistError::Replay { site: format!("checkpoint audit states: {e}") }
             })?;
-            core.metrics.ingested.store(ck.counters[0]);
-            core.metrics.rejected.store(ck.counters[1]);
-            core.metrics.dml.store(ck.counters[2]);
-            core.metrics.governor_rejections.store(ck.counters[3]);
-            core.metrics.events.store(ck.counters[4]);
+            for (counter, value) in core.metrics.checkpointed().into_iter().zip(ck.counters) {
+                counter.store(value);
+            }
             core.triage.restore(std::mem::take(&mut ck.triage));
         }
-
-        // Phase B: the tail goes through the full ingest path.
         let base = recovered.checkpoint.as_ref().map_or(0, |c| c.covers_seq);
+        let governor = Governor::unlimited();
         for (i, rec) in recovered.tail.iter().enumerate() {
-            core.replay_record(rec, base + i as u64, true)?;
+            core.apply(rec, &governor).map_err(|e| replay_error(base + i as u64, &e))?;
         }
         core.metrics.publish_triage(&core.triage);
         Ok(core)
     }
 
-    /// Phase A against a checkpointed MVCC snapshot: the version stores
-    /// restore wholesale ([`Database::from_mvcc_stores`]), so the covered
-    /// prefix's `CreateTable`/`Change` records are only *counted* — to know
-    /// the exact per-table prefix each mid-stream registration originally
-    /// saw — never re-applied. Log appends still repopulate the query log
-    /// in order, and each registration re-prepares at its recorded `now`
-    /// against an O(prefix) [`Database::fork_prefix`] fork of the restored
-    /// stores (or, through [`ServiceCore::replay_record`], the restored
-    /// database itself when no DML follows it): identical inputs, so an
-    /// identical prepared audit.
-    fn restore_snapshot_prefix(
+    /// Rebuilds the raw state a checkpoint covers — log, database,
+    /// registrations, weights — through `apply`, except that log entries
+    /// are appended unparsed and unscored: the derived state restores
+    /// wholesale right after, overwriting anything `apply` derived here.
+    /// With a version-store `snap` ([`Database::from_mvcc_stores`]) the
+    /// DML is only *counted*, so a registration followed by DML re-prepares
+    /// at its recorded `now` against a [`Database::fork_prefix`] of exactly
+    /// what it saw. Without one (a checkpoint from before snapshots) the
+    /// DML is applied record by record.
+    fn restore_prefix(
         &mut self,
-        snap: DbSnapshot,
         records: &[WalRecord],
+        snap: Option<DbSnapshot>,
     ) -> Result<(), PersistError> {
-        let mut db = Database::from_mvcc_stores(snap.stores, snap.last_ts)
-            .map_err(|e| PersistError::Replay { site: format!("checkpoint db snapshot: {e}") })?;
-        db.set_obs(&self.registry);
-        self.db = db;
-
-        // Whether any DML record occurs at or after index i — when none
-        // does, a registration at i saw exactly the restored database and
-        // needs no fork.
-        let mut dml_after = vec![false; records.len() + 1];
-        for i in (0..records.len()).rev() {
-            let is_dml =
-                matches!(records[i], WalRecord::CreateTable { .. } | WalRecord::Change { .. });
-            dml_after[i] = dml_after[i + 1] || is_dml;
+        let counting = snap.is_some();
+        if let Some(snap) = snap {
+            self.db = Database::from_mvcc_stores(snap.stores, snap.last_ts).map_err(|e| {
+                PersistError::Replay { site: format!("checkpoint db snapshot: {e}") }
+            })?;
+            self.db.set_obs(&self.registry);
         }
 
+        // A registration no DML follows saw exactly the restored database
+        // and needs no fork.
+        let last_dml = records
+            .iter()
+            .rposition(|r| matches!(r, WalRecord::CreateTable { .. } | WalRecord::Change { .. }));
+
+        let governor = Governor::unlimited();
         let mut counts: BTreeMap<Ident, usize> = BTreeMap::new();
         let mut clock = Timestamp(0); // a fresh database's last_ts
         for (seq, rec) in records.iter().enumerate() {
-            let fail = |what: &dyn std::fmt::Display| PersistError::Replay {
-                site: format!("record seq {seq}: {what}"),
-            };
+            let fail = |what: &dyn std::fmt::Display| replay_error(seq as u64, what);
             match rec {
-                WalRecord::CreateTable { name, ts, .. } => {
+                WalRecord::CreateTable { name, ts, .. } if counting => {
                     counts.entry(name.clone()).or_insert(0);
                     clock = clock.max(*ts);
                 }
-                WalRecord::Change { table, rec } => {
+                WalRecord::Change { table, rec } if counting => {
                     *counts.entry(table.clone()).or_insert(0) += 1;
                     clock = clock.max(rec.ts);
                 }
-                WalRecord::Register { name, expr, now } if dml_after[seq] => {
-                    let parsed = audex_sql::parse_audit(expr).map_err(|e| fail(&e))?;
+                WalRecord::LogAppend { ts, user, role, purpose, sql } => {
+                    let context = AccessContext::new(user.clone(), role.clone(), purpose.clone());
+                    self.log.record_prevalidated(sql, *ts, context);
+                }
+                WalRecord::Register { name, expr, now } if counting && last_dml > Some(seq) => {
                     let fork = self.db.fork_prefix(&counts, clock).map_err(|e| fail(&e))?;
-                    let prepared = self
-                        .prepare_audit(&fork, &parsed, *now, &Governor::unlimited())
-                        .map_err(|e| fail(&e))?;
+                    let prepared =
+                        self.prepare_audit(&fork, expr, *now, &governor).map_err(|e| fail(&e))?;
                     // The fork's reads are the ones the live run charged to
                     // the primary database.
                     self.db.absorb_scan(fork.mvcc_scan_stats());
                     self.install_audit(name.clone(), prepared);
                 }
-                // Everything else (a registration no DML follows included)
-                // behaves exactly as checkpointed-prefix replay always has
-                // (derived state restores separately).
-                other => self.replay_record(other, seq as u64, false)?,
+                // Everything else applies exactly as it did live.
+                other => self.apply(other, &governor).map_err(|e| fail(&e))?,
             }
         }
         Ok(())
     }
 
-    /// Applies one journaled record during recovery. With `derive` set the
-    /// record also feeds the touch index / online auditor / counters (WAL
-    /// tail); without it only raw state is rebuilt (checkpointed prefix —
-    /// its derived state is restored separately).
-    fn replay_record(
-        &mut self,
-        rec: &WalRecord,
-        seq: u64,
-        derive: bool,
-    ) -> Result<(), PersistError> {
-        let fail = |what: &dyn std::fmt::Display| PersistError::Replay {
-            site: format!("record seq {seq}: {what}"),
-        };
+    /// Applies one journaled record: WAL-tail replay, and the mutation of
+    /// every live handler but `dml` (journaled by the change sink) and
+    /// `log` (which `ingest`s the entry it parsed). `governor` bounds a
+    /// registration's preparation.
+    fn apply(&mut self, rec: &WalRecord, governor: &Governor) -> Result<(), Refusal> {
+        let invalid = |e: &dyn std::fmt::Display| Refusal::Invalid(e.to_string());
         match rec {
             WalRecord::CreateTable { name, schema, ts } => {
-                self.db.create_table(name.clone(), schema.clone(), *ts).map_err(|e| fail(&e))?;
-                if derive {
-                    self.metrics.dml.inc();
-                }
+                self.db.create_table(name.clone(), schema.clone(), *ts).map_err(|e| invalid(&e))?;
+                self.metrics.dml.inc();
             }
             WalRecord::Change { table, rec } => {
-                self.db.apply_change(table, rec).map_err(|e| fail(&e))?;
-                if derive {
-                    // Statement boundaries are not journaled (one statement
-                    // may emit many change records), so tail replay counts
-                    // records; checkpoint-covered counters restore exactly.
-                    self.metrics.dml.inc();
-                }
+                self.db.apply_change(table, rec).map_err(|e| invalid(&e))?;
+                // Statement boundaries are not journaled (one statement
+                // may emit many change records), so replay counts records.
+                self.metrics.dml.inc();
             }
             WalRecord::LogAppend { ts, user, role, purpose, sql } => {
+                let query = audex_sql::parse_query(sql)
+                    .map_err(|e| Refusal::Invalid(format!("query does not parse: {e}")))?;
                 let context = AccessContext::new(user.clone(), role.clone(), purpose.clone());
-                if derive {
-                    let query = audex_sql::parse_query(sql).map_err(|e| fail(&e))?;
-                    let entry = Arc::new(LoggedQuery::new(
-                        QueryId(self.log.len() as u64 + 1),
-                        query,
-                        sql.clone(),
-                        *ts,
-                        context.clone(),
-                    ));
-                    // Replay shares one execution between scoring and the
-                    // index exactly like the live `handle_log`, so the
-                    // rebuilt index is byte-identical to the one the live
-                    // run maintained.
-                    let (scores, footprint) =
-                        self.online.observe_with_footprint(&self.db, &entry).unwrap_or_default();
-                    self.index.extend_prepared(entry.id, footprint);
-                    if !scores.is_empty() {
-                        self.triage.observe(
-                            entry.id,
-                            *ts,
-                            user.clone(),
-                            role.clone(),
-                            purpose.clone(),
-                            &scores,
-                        );
-                    }
-                    self.metrics.events.add(events_for_scores(&scores) as u64);
-                    self.metrics.ingested.inc();
-                }
-                // The text was parse-validated when the live run accepted
-                // it, so recovery appends without re-parsing — the AST
-                // materializes lazily if an audit ever needs this entry.
-                // This keeps checkpointed recovery time proportional to the
-                // WAL tail, not to how many queries the store has logged.
-                self.log.record_prevalidated(sql, *ts, context);
-            }
-            WalRecord::Register { name, expr, now } => {
-                let parsed = audex_sql::parse_audit(expr).map_err(|e| fail(&e))?;
-                let prepared = self
-                    .prepare_audit(&self.db, &parsed, *now, &Governor::unlimited())
-                    .map_err(|e| fail(&e))?;
-                // Every successful registration (and only those) is
-                // journaled, so replay walks the same push sequence and
-                // assigns the same stable ids as the live run.
-                self.install_audit(name.clone(), prepared);
-            }
-            WalRecord::Unregister { name } => {
-                if !self.remove_audit(name) {
-                    return Err(fail(&format!("unregister of unknown audit {name:?}")));
-                }
-            }
-            // Review decisions feed the queue only on tail replay: the
-            // checkpointed prefix restores its queue (states included)
-            // wholesale, like the other derived state.
-            WalRecord::ReviewAck { query } => {
-                if derive {
-                    self.triage.set_state(*query, ReviewState::Acked);
-                }
-            }
-            WalRecord::ReviewDismiss { query } => {
-                if derive {
-                    self.triage.set_state(*query, ReviewState::Dismissed);
-                }
-            }
-            WalRecord::ReviewAckBulk { queries } => {
-                if derive {
-                    for query in queries {
-                        self.triage.set_state(*query, ReviewState::Acked);
-                    }
-                }
-            }
-            // Weights are configuration, not checkpoint-derived state, so
-            // they replay unconditionally (the checkpoint's record prefix
-            // carries the full ordered history).
-            WalRecord::SetWeight { table, column, weight } => {
-                self.triage.set_weight(table.clone(), column.clone(), *weight);
+                let entry =
+                    LoggedQuery::new(self.next_query_id(), query, sql.clone(), *ts, context);
+                self.ingest(Arc::new(entry))
+                    .map_err(|e| Refusal::Invalid(format!("log append failed: {e}")))?;
             }
             WalRecord::LogAppendRedacted {
                 ts,
@@ -648,35 +540,96 @@ impl ServiceCore {
                 scores,
                 ..
             } => {
-                // The raw SQL is gone by design. Synthesize a placeholder
-                // query from the journaled structure so the log keeps its
-                // dense ids, timestamps, and annotations; everything the
-                // queue needs rides in the redacted scores. Batch re-audits
-                // of the redacted span are impossible — a recovered `audit`
-                // honestly reports those queries as skipped.
+                // The raw SQL is gone by design. A placeholder synthesized
+                // from the journaled structure keeps the log's dense ids,
+                // timestamps and annotations; the index skips it, and the
+                // queue needs only the redacted scores. A recovered `audit`
+                // honestly reports these queries as skipped.
                 let context = AccessContext::new(user.clone(), role.clone(), purpose.clone());
                 let sql = synthesize_redacted_sql(tables, accessed);
-                if derive {
-                    let id = QueryId(self.log.len() as u64 + 1);
-                    self.index.extend_prepared(id, None);
-                    if !scores.is_empty() {
-                        self.triage.observe_redacted(
-                            id,
-                            *ts,
-                            user.clone(),
-                            role.clone(),
-                            purpose.clone(),
-                            scores,
-                        );
-                    }
-                    let touched: BTreeSet<AuditId> = scores.iter().map(|s| s.audit).collect();
-                    self.metrics.events.add((scores.len() + touched.len()) as u64);
-                    self.metrics.ingested.inc();
+                let id =
+                    self.log.record_text(&sql, *ts, context.clone()).map_err(|e| invalid(&e))?;
+                self.index.extend_prepared(id, None);
+                self.fold(id, *ts, &context, scores);
+            }
+            WalRecord::Register { name, expr, now } => {
+                let prepared = self.prepare_audit(&self.db, expr, *now, governor)?;
+                // Every successful registration (and only those) is
+                // journaled, so replay walks the same push sequence and
+                // assigns the same stable ids as the live run.
+                self.install_audit(name.clone(), prepared);
+            }
+            WalRecord::Unregister { name } => {
+                if !self.remove_audit(name) {
+                    return Err(Refusal::Invalid(format!("no registered audit named {name:?}")));
                 }
-                self.log.record_text(&sql, *ts, context).map_err(|e| fail(&e))?;
+            }
+            // Unknown ids are the live handler's to refuse; replay tolerates
+            // them, as it always has.
+            WalRecord::ReviewAck { query } => {
+                self.triage.set_state(*query, ReviewState::Acked);
+            }
+            WalRecord::ReviewDismiss { query } => {
+                self.triage.set_state(*query, ReviewState::Dismissed);
+            }
+            WalRecord::ReviewAckBulk { queries } => {
+                for query in queries {
+                    self.triage.set_state(*query, ReviewState::Acked);
+                }
+            }
+            WalRecord::SetWeight { table, column, weight } => {
+                self.triage.set_weight(table.clone(), column.clone(), *weight);
             }
         }
         Ok(())
+    }
+
+    /// A live request's mutation: `apply` under a fresh request governor,
+    /// then journal that very record and answer `reply` of the new state.
+    fn commit(&mut self, rec: WalRecord, reply: impl FnOnce(&Self) -> Json) -> Outcome {
+        match self.apply(&rec, &Governor::arm(&self.config.limits)) {
+            Ok(()) => {
+                if let Some(j) = &self.journal {
+                    j.append(rec);
+                }
+                self.metrics.publish_triage(&self.triage);
+                Outcome::reply(reply(self))
+            }
+            Err(Refusal::Busy(e)) => self.backpressure(&e),
+            Err(Refusal::Invalid(message)) => self.reject(message),
+        }
+    }
+
+    /// The one mutator for a log entry: live `log`, a replayed `LogAppend`
+    /// and `preloaded` all come here. The append, the only step that can
+    /// refuse, runs first; then one shared execution yields scores and
+    /// footprint. An `observe` error (none are currently reachable)
+    /// downgrades to "no scores, skip" so the log and index never diverge.
+    fn ingest(&mut self, entry: Arc<LoggedQuery>) -> Result<Vec<QueryScore>, AppendError> {
+        self.log.append_validated(Arc::clone(&entry))?;
+        let (scores, footprint) =
+            self.online.observe_with_footprint(&self.db, &entry).unwrap_or_default();
+        self.index.extend_prepared(entry.id, footprint);
+        let rows: Vec<RedactedScore> = scores.iter().map(RedactedScore::from_score).collect();
+        self.fold(entry.id, entry.executed_at, &entry.context, &rows);
+        Ok(scores)
+    }
+
+    /// What raw and redacted appends both derive: the queue item when
+    /// flagged, one event per score plus a verdict per audit, the count.
+    fn fold(&mut self, id: QueryId, ts: Timestamp, ctx: &AccessContext, rows: &[RedactedScore]) {
+        if !rows.is_empty() {
+            let c = ctx.clone();
+            self.triage.observe_redacted(id, ts, c.user, c.role, c.purpose, rows);
+        }
+        let touched: BTreeSet<AuditId> = rows.iter().map(|r| r.audit).collect();
+        self.metrics.events.add((rows.len() + touched.len()) as u64);
+        self.metrics.ingested.inc();
+    }
+
+    /// The id the next log entry gets.
+    fn next_query_id(&self) -> QueryId {
+        QueryId(self.log.len() as u64 + 1)
     }
 
     /// The latest instant the service has seen (backlog or log), used as
@@ -697,7 +650,10 @@ impl ServiceCore {
                 self.handle_log(ts, AccessContext::new(user, role, purpose), &sql)
             }
             Request::Register { name, expr, now } => self.handle_register(name, &expr, now),
-            Request::Unregister { name } => self.handle_unregister(&name),
+            Request::Unregister { name } => {
+                let reply = obj([("ok", Json::Bool(true)), ("name", Json::from(name.as_str()))]);
+                self.commit(WalRecord::Unregister { name }, |_| reply)
+            }
             Request::Audit { name } => self.handle_audit(&name),
             Request::Triage => Outcome::reply(self.triage_json()),
             Request::Queue { top, offset } => Outcome::reply(self.queue_json(top, offset)),
@@ -842,21 +798,11 @@ impl ServiceCore {
             Ok(q) => q,
             Err(e) => return self.reject(format!("query does not parse: {e}")),
         };
-        if let Some(last) = self.log.last_ts() {
-            if ts < last {
-                return self.reject(format!(
-                    "out-of-order log append: offered {ts}, log is already at {last}"
-                ));
-            }
+        if let Some(last) = self.log.last_ts().filter(|&last| ts < last) {
+            return self.reject(format!(
+                "out-of-order log append: offered {ts}, log is already at {last}"
+            ));
         }
-        let entry = Arc::new(LoggedQuery::new(
-            QueryId(self.log.len() as u64 + 1),
-            query,
-            sql.to_string(),
-            ts,
-            context,
-        ));
-
         // Admission control: the indexing step ticks this request's
         // governor before any state is touched, so a trip rejects the
         // whole request with nothing mutated.
@@ -865,90 +811,63 @@ impl ServiceCore {
             return self.backpressure(&e);
         }
 
-        // Score online and fold the touch-index footprint in from the
-        // *same* execution — one `query_with` per ingested query instead
-        // of two. `observe` is pure w.r.t. the log; an error here (none
-        // are currently reachable) downgrades to "no scores, skip" so the
-        // log and index never diverge.
-        let (scores, footprint) =
-            self.online.observe_with_footprint(&self.db, &entry).unwrap_or_default();
-        // The redacted journal record carries the query's structure in
-        // place of its text; capture it before the footprint moves into
-        // the index.
-        let (fp_tables, fp_accessed) = match (&footprint, self.config.redact_log) {
-            (Some(fp), true) => (
-                fp.bases.iter().cloned().collect::<Vec<_>>(),
-                fp.covered.iter().cloned().collect::<Vec<_>>(),
-            ),
-            _ => (Vec::new(), Vec::new()),
-        };
-        self.index.extend_prepared(entry.id, footprint);
-
-        // Commit the entry that was just scored — parsed once, allocated
-        // once. The validated append re-checks ordering and the id under
+        // Parsed once, allocated once: the entry scored is the entry
+        // logged. The validated append re-checks ordering and the id under
         // the log's own lock; it cannot fail after the checks above.
-        let id = match self.log.append_validated(Arc::clone(&entry)) {
-            Ok(id) => id,
+        let entry =
+            Arc::new(LoggedQuery::new(self.next_query_id(), query, sql.to_string(), ts, context));
+        let scores = match self.ingest(Arc::clone(&entry)) {
+            Ok(scores) => scores,
             Err(e) => return self.reject(format!("log append failed: {e}")),
         };
-        self.metrics.ingested.inc();
-
-        // Flagged queries enter the review queue with their evidence.
+        let id = entry.id;
         if !scores.is_empty() {
-            self.triage.observe(
-                id,
-                ts,
-                entry.context.user.clone(),
-                entry.context.role.clone(),
-                entry.context.purpose.clone(),
-                &scores,
-            );
             self.metrics.publish_triage(&self.triage);
         }
-        // Under --redact-log the journal's sink stayed silent; journal the
-        // structural record now that the append committed.
-        if self.config.redact_log {
-            if let Some(j) = &self.journal {
-                let redacted: Vec<RedactedScore> =
-                    scores.iter().map(RedactedScore::from_score).collect();
-                j.record_log_redacted(
-                    &entry,
-                    fnv1a64(sql.as_bytes()),
-                    fp_tables,
-                    fp_accessed,
-                    redacted,
-                );
-            }
+        if let Some(j) = &self.journal {
+            let c = &entry.context;
+            let (user, role, purpose) = (c.user.clone(), c.role.clone(), c.purpose.clone());
+            // `--redact-log` journals the query's structure — the
+            // footprint `ingest` just indexed, unless the index skipped
+            // it — and a hash in place of its text.
+            j.append(if self.config.redact_log {
+                let fp = self.index.footprints().last().filter(|fp| fp.id == id);
+                WalRecord::LogAppendRedacted {
+                    ts,
+                    user,
+                    role,
+                    purpose,
+                    sql_hash: fnv1a64(sql.as_bytes()),
+                    tables: fp.map_or_else(Vec::new, |fp| fp.bases.iter().cloned().collect()),
+                    accessed: fp.map_or_else(Vec::new, |fp| fp.covered.iter().cloned().collect()),
+                    scores: scores.iter().map(RedactedScore::from_score).collect(),
+                }
+            } else {
+                WalRecord::LogAppend { ts, user, role, purpose, sql: sql.to_string() }
+            });
         }
 
         let mut events = Vec::new();
         let mut score_rows = Vec::new();
-        let mut touched_audits = BTreeSet::new();
         for s in &scores {
-            touched_audits.insert(s.audit);
-            let name = self.audit_name(s.audit);
             let row = obj([
-                ("audit", Json::Str(name)),
+                ("audit", Json::Str(self.audit_name(s.audit))),
                 ("fact_coverage", Json::Float(s.fact_coverage)),
                 ("column_coverage", Json::Float(s.column_coverage)),
                 ("closeness", Json::Float(s.closeness)),
             ]);
-            score_rows.push(row.clone());
-            let mut fields = vec![
-                ("event".to_string(), Json::from("score")),
-                ("query".to_string(), Json::Int(id.0 as i64)),
-            ];
-            if let Json::Obj(inner) = row {
-                fields.extend(inner);
+            let mut event =
+                obj([("event", Json::from("score")), ("query", Json::Int(id.0 as i64))]);
+            if let (Json::Obj(fields), Json::Obj(inner)) = (&mut event, &row) {
+                fields.extend(inner.iter().cloned());
             }
-            events.push(Json::Obj(fields));
+            events.push(event);
+            score_rows.push(row);
         }
         // A verdict event per audit this query contributed to, so
         // subscribers track the running batch state without polling.
-        for id in touched_audits {
-            events.push(self.verdict_event(id));
-        }
-        self.metrics.events.add(events.len() as u64);
+        let touched: BTreeSet<AuditId> = scores.iter().map(|s| s.audit).collect();
+        events.extend(touched.into_iter().map(|a| self.verdict_event(a)));
 
         Outcome {
             response: obj([
@@ -991,43 +910,23 @@ impl ServiceCore {
     }
 
     fn handle_register(&mut self, name: String, expr: &str, now: Option<Timestamp>) -> Outcome {
-        if self.registered.iter().any(|r| r.name == name) {
+        if self.has_audit(&name) {
             return self.reject(format!("audit {name:?} is already registered (unregister first)"));
         }
-        let parsed = match audex_sql::parse_audit(expr) {
-            Ok(e) => e,
-            Err(e) => return self.reject(format!("audit expression does not parse: {e}")),
-        };
         let now = now.unwrap_or_else(|| self.latest_instant());
-        let governor = Governor::arm(&self.config.limits);
-        let prepared = match self.prepare_audit(&self.db, &parsed, now, &governor) {
-            Ok(p) => p,
-            Err(e) if is_governor_trip(&e) => return self.backpressure(&e),
-            Err(e) => return self.reject(format!("audit does not prepare: {e}")),
-        };
-        let target_size = prepared.view.len();
-        let total = prepared.model.count(target_size);
-        self.install_audit(name.clone(), prepared);
-        if let Some(j) = &self.journal {
-            j.record_register(&name, expr, now);
-        }
-        Outcome::reply(obj([
-            ("ok", Json::Bool(true)),
-            ("name", Json::Str(name)),
-            ("target_size", Json::from(target_size)),
-            ("total_granules", u128_json(total)),
-            ("now", Json::Int(now.0)),
-        ]))
-    }
-
-    fn handle_unregister(&mut self, name: &str) -> Outcome {
-        if !self.remove_audit(name) {
-            return self.reject(format!("no registered audit named {name:?}"));
-        }
-        if let Some(j) = &self.journal {
-            j.record_unregister(name);
-        }
-        Outcome::reply(obj([("ok", Json::Bool(true)), ("name", Json::from(name))]))
+        let rec = WalRecord::Register { name: name.clone(), expr: expr.to_string(), now };
+        self.commit(rec, |core| {
+            // The audit `apply` just installed is the newest registration.
+            let prepared = core.registered.last().and_then(|r| core.online.audit(r.id));
+            let target_size = prepared.map_or(0, |p| p.view.len());
+            obj([
+                ("ok", Json::Bool(true)),
+                ("name", Json::Str(name)),
+                ("target_size", Json::from(target_size)),
+                ("total_granules", u128_json(prepared.map_or(0, |p| p.model.count(target_size)))),
+                ("now", Json::Int(now.0)),
+            ])
+        })
     }
 
     /// Prepares a standing audit at `now` against `db` (the live database,
@@ -1037,24 +936,32 @@ impl ServiceCore {
     fn prepare_audit(
         &self,
         db: &Database,
-        parsed: &AuditExpr,
+        expr: &str,
         now: Timestamp,
         governor: &Governor,
-    ) -> Result<PreparedAudit, AuditError> {
+    ) -> Result<PreparedAudit, Refusal> {
+        let parsed = audex_sql::parse_audit(expr)
+            .map_err(|e| Refusal::Invalid(format!("audit expression does not parse: {e}")))?;
         AuditEngine::with_options(
             db,
             &self.log,
             EngineOptions { strategy: self.config.strategy, ..Default::default() },
         )
         .with_obs(self.engine_obs.clone())
-        .prepare_governed(parsed, now, governor)
+        .prepare_governed(&parsed, now, governor)
+        .map_err(|e| {
+            if is_governor_trip(&e) {
+                Refusal::Busy(e)
+            } else {
+                Refusal::Invalid(format!("audit does not prepare: {e}"))
+            }
+        })
     }
 
-    /// Installs a prepared audit under `name`; returns its stable id.
-    fn install_audit(&mut self, name: String, prepared: PreparedAudit) -> AuditId {
+    /// Installs a prepared audit under `name`.
+    fn install_audit(&mut self, name: String, prepared: PreparedAudit) {
         let id = self.online.push(prepared);
         self.registered.push(RegisteredAudit { name, id });
-        id
     }
 
     /// Removes the standing audit registered under `name`; `false` when
@@ -1214,22 +1121,19 @@ impl ServiceCore {
     /// rejected without a journal write, so replay only ever sees
     /// transitions that actually happened.
     fn handle_review(&mut self, query: QueryId, state: ReviewState) -> Outcome {
-        if !self.triage.set_state(query, state) {
+        if self.triage.item(query).is_none() {
             return self.reject(format!("query {query} was never flagged"));
         }
-        if let Some(j) = &self.journal {
-            match state {
-                ReviewState::Acked => j.record_review_ack(query),
-                ReviewState::Dismissed => j.record_review_dismiss(query),
-                ReviewState::Open => {}
-            }
-        }
-        self.metrics.publish_triage(&self.triage);
-        Outcome::reply(obj([
+        let rec = match state {
+            ReviewState::Dismissed => WalRecord::ReviewDismiss { query },
+            _ => WalRecord::ReviewAck { query },
+        };
+        let reply = obj([
             ("ok", Json::Bool(true)),
             ("query", Json::Int(query.0 as i64)),
             ("state", Json::from(state.as_str())),
-        ]))
+        ]);
+        self.commit(rec, |_| reply)
     }
 
     /// `ack` with a `template` index: acknowledge every open item matching
@@ -1244,44 +1148,28 @@ impl ServiceCore {
                  run triage for the current listing)"
             ));
         }
-        for q in &queries {
-            self.triage.set_state(*q, ReviewState::Acked);
-        }
-        if let Some(j) = &self.journal {
-            j.record_review_ack_bulk(queries.clone());
-        }
-        self.metrics.publish_triage(&self.triage);
-        Outcome::reply(obj([
+        let reply = obj([
             ("ok", Json::Bool(true)),
             ("template", Json::Int(template as i64)),
             ("acked", Json::Int(queries.len() as i64)),
             ("queries", Json::Arr(queries.iter().map(|q| Json::Int(q.0 as i64)).collect())),
             ("state", Json::from(ReviewState::Acked.as_str())),
-        ]))
+        ]);
+        self.commit(WalRecord::ReviewAckBulk { queries }, |_| reply)
     }
 
     /// `weight`: set a per-table or per-column sensitivity multiplier.
     /// Weights are configuration, not derived state — they journal
     /// unconditionally and replay unconditionally.
     fn handle_weight(&mut self, table: &str, column: Option<String>, weight: f64) -> Outcome {
-        let table = Ident::new(table);
-        let column = column.map(Ident::new);
-        self.triage.set_weight(table.clone(), column.clone(), weight);
-        if let Some(j) = &self.journal {
-            j.record_weight(table.clone(), column.clone(), weight);
-        }
-        Outcome::reply(obj([
+        let reply = obj([
             ("ok", Json::Bool(true)),
-            ("table", Json::Str(table.value.clone())),
-            (
-                "column",
-                match &column {
-                    Some(c) => Json::Str(c.value.clone()),
-                    None => Json::Null,
-                },
-            ),
+            ("table", Json::from(table)),
+            ("column", column.as_deref().map_or(Json::Null, Json::from)),
             ("weight", Json::Float(weight)),
-        ]))
+        ]);
+        let (table, column) = (Ident::new(table), column.map(Ident::new));
+        self.commit(WalRecord::SetWeight { table, column, weight }, |_| reply)
     }
 
     fn stats_json(&self) -> Json {
@@ -1385,25 +1273,30 @@ pub fn journal_stats_fields(jc: &audex_persist::JournalCounters) -> Vec<(String,
 /// index skips it (its footprint cannot be re-derived), and the review
 /// queue never reads it.
 fn synthesize_redacted_sql(tables: &[Ident], accessed: &[(Ident, Ident)]) -> String {
-    let cols = if accessed.is_empty() {
-        "redacted".to_string()
-    } else {
-        accessed.iter().map(|(_, c)| c.to_string()).collect::<Vec<_>>().join(", ")
-    };
-    let from = if tables.is_empty() {
-        "redacted".to_string()
-    } else {
-        tables.iter().map(Ident::to_string).collect::<Vec<_>>().join(", ")
-    };
-    format!("SELECT {cols} FROM {from}")
+    let list =
+        |names: Vec<String>| if names.is_empty() { "redacted".into() } else { names.join(", ") };
+    let cols = list(accessed.iter().map(|(_, c)| c.to_string()).collect());
+    format!("SELECT {cols} FROM {}", list(tables.iter().map(Ident::to_string).collect()))
 }
 
-/// How many event lines one scored log append emits: one per score plus one
-/// verdict per distinct audit touched (mirrored by recovery replay so the
-/// `events_emitted` counter survives a crash exactly).
-fn events_for_scores(scores: &[audex_core::QueryScore]) -> usize {
-    let touched: BTreeSet<AuditId> = scores.iter().map(|s| s.audit).collect();
-    scores.len() + touched.len()
+/// Why a record was not applied: over capacity (a governor trip, answered
+/// `busy`) or invalid. Recovery reports either as a replay error.
+enum Refusal {
+    Busy(AuditError),
+    Invalid(String),
+}
+
+impl std::fmt::Display for Refusal {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Refusal::Busy(e) => e.fmt(f),
+            Refusal::Invalid(message) => f.write_str(message),
+        }
+    }
+}
+
+fn replay_error(seq: u64, what: &dyn std::fmt::Display) -> PersistError {
+    PersistError::Replay { site: format!("record seq {seq}: {what}") }
 }
 
 /// True for errors that mean "over capacity right now", not "invalid".
@@ -1713,7 +1606,9 @@ mod tests {
             // Service counters (stats minus journal_* fields) match too.
             // `dml_statements` is exact only through a checkpoint: tail
             // replay counts change *records*, statement boundaries are not
-            // journaled (documented caveat in DESIGN.md §10).
+            // journaled. `queries_rejected` and `governor_trips` restart
+            // from the checkpoint's value, since refusals never reach the
+            // WAL; this session has none (caveats in DESIGN.md §10).
             let stats = after.handle(Request::Stats).response;
             let strip = |j: &Json| match j {
                 Json::Obj(fields) => Json::Obj(

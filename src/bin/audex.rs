@@ -277,6 +277,46 @@ fn take_value(args: &[String], i: &mut usize, flag: &str) -> Result<String, Stri
     args.get(*i).cloned().ok_or_else(|| format!("{flag} requires a value"))
 }
 
+/// The value after `flag`, parsed; with `min`, anything below it is refused.
+fn take_parsed<T>(args: &[String], i: &mut usize, flag: &str, min: Option<T>) -> Result<T, String>
+where
+    T: std::str::FromStr + PartialOrd + std::fmt::Display,
+{
+    let text = take_value(args, i, flag)?;
+    let value: T = text.parse().map_err(|_| format!("invalid {flag} value {text:?}"))?;
+    match min {
+        Some(min) if value < min => Err(format!("{flag} must be at least {min}")),
+        _ => Ok(value),
+    }
+}
+
+/// The options `audit` and `serve` share: governor limits (per run, or
+/// per request as admission control; unlimited by default) and the
+/// worker-thread count.
+#[derive(Default)]
+struct RunLimits {
+    limits: audex::core::ResourceLimits,
+    threads: Option<usize>,
+}
+
+impl RunLimits {
+    /// Consumes `args[*i]` and its value when it is one of these flags.
+    fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
+        let flag = args[*i].as_str();
+        match flag {
+            "--deadline-ms" => {
+                let ms = take_parsed(args, i, flag, None)?;
+                self.limits.deadline = Some(std::time::Duration::from_millis(ms));
+            }
+            "--max-steps" => self.limits.max_steps = Some(take_parsed(args, i, flag, None)?),
+            "--max-granules" => self.limits.granule_limit = Some(take_parsed(args, i, flag, None)?),
+            "--threads" => self.threads = Some(take_parsed(args, i, flag, Some(1))?),
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+}
+
 fn cmd_audit(args: &[String]) -> Result<(), String> {
     let mut db_path = None;
     let mut log_path = None;
@@ -288,8 +328,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     let mut static_filter = true;
     let mut granules: Option<u64> = None;
     let mut stats = false;
-    let mut limits = audex::core::ResourceLimits::unlimited();
-    let mut threads: Option<usize> = None;
+    let mut run = RunLimits::default();
     let mut trace_out: Option<String> = None;
 
     let mut i = 0;
@@ -317,41 +356,18 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
             "--no-static-filter" => static_filter = false,
             "--stats" => stats = true,
             "--granules" => {
+                // The one value error that says "limit", not "value".
                 let text = take_value(args, &mut i, "--granules")?;
                 granules =
                     Some(text.parse().map_err(|_| format!("invalid --granules limit {text:?}"))?);
             }
-            "--deadline-ms" => {
-                let text = take_value(args, &mut i, "--deadline-ms")?;
-                let ms: u64 =
-                    text.parse().map_err(|_| format!("invalid --deadline-ms value {text:?}"))?;
-                limits.deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--max-steps" => {
-                let text = take_value(args, &mut i, "--max-steps")?;
-                limits.max_steps =
-                    Some(text.parse().map_err(|_| format!("invalid --max-steps value {text:?}"))?);
-            }
-            "--max-granules" => {
-                let text = take_value(args, &mut i, "--max-granules")?;
-                limits.granule_limit = Some(
-                    text.parse().map_err(|_| format!("invalid --max-granules value {text:?}"))?,
-                );
-            }
-            "--threads" => {
-                let text = take_value(args, &mut i, "--threads")?;
-                let n: usize =
-                    text.parse().map_err(|_| format!("invalid --threads value {text:?}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                threads = Some(n);
-            }
+            _ if run.take(args, &mut i)? => {}
             other => return Err(format!("unknown option {other:?}")),
         }
         i += 1;
     }
 
+    let RunLimits { limits, threads } = run;
     let expr_text = expr_text.ok_or("--expr or --expr-file is required")?;
 
     // Telemetry is armed only when asked for: with no --trace-out both
@@ -516,8 +532,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut checkpoint_every: Option<u64> = None;
     let mut metrics_every: Option<u64> = None;
     let mut trace_out: Option<String> = None;
-    let mut limits = audex::core::ResourceLimits::unlimited();
-    let mut threads: Option<usize> = None;
+    let mut run = RunLimits::default();
     let mut redact_log = false;
     let mut review_budget: Option<u64> = None;
     let mut front = FrontDoorConfig::default();
@@ -529,49 +544,24 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--stdio" => stdio = true,
             "--listen" => listen = Some(take_value(args, &mut i, "--listen")?),
             "--max-conns" => {
-                let text = take_value(args, &mut i, "--max-conns")?;
-                let n: usize =
-                    text.parse().map_err(|_| format!("invalid --max-conns value {text:?}"))?;
-                if n == 0 {
-                    return Err("--max-conns must be at least 1".into());
-                }
-                front.max_conns = n;
+                front.max_conns = take_parsed(args, &mut i, "--max-conns", Some(1))?;
                 front_tuned = true;
             }
             "--sub-queue" => {
-                let text = take_value(args, &mut i, "--sub-queue")?;
-                let n: usize =
-                    text.parse().map_err(|_| format!("invalid --sub-queue value {text:?}"))?;
-                if n == 0 {
-                    return Err("--sub-queue must be at least 1".into());
-                }
-                front.sub_queue = n;
+                front.sub_queue = take_parsed(args, &mut i, "--sub-queue", Some(1))?;
                 front_tuned = true;
             }
             "--conn-idle-ms" => {
-                let text = take_value(args, &mut i, "--conn-idle-ms")?;
-                let ms: u64 =
-                    text.parse().map_err(|_| format!("invalid --conn-idle-ms value {text:?}"))?;
-                if ms == 0 {
-                    return Err("--conn-idle-ms must be at least 1".into());
-                }
+                let ms = take_parsed(args, &mut i, "--conn-idle-ms", Some(1))?;
                 front.conn_idle = Some(std::time::Duration::from_millis(ms));
                 front_tuned = true;
             }
             "--max-line-bytes" => {
-                let text = take_value(args, &mut i, "--max-line-bytes")?;
-                let n: usize =
-                    text.parse().map_err(|_| format!("invalid --max-line-bytes value {text:?}"))?;
-                if n < 2 {
-                    return Err("--max-line-bytes must be at least 2".into());
-                }
-                front.max_line_bytes = n;
+                front.max_line_bytes = take_parsed(args, &mut i, "--max-line-bytes", Some(2))?;
                 front_tuned = true;
             }
             "--drain-ms" => {
-                let text = take_value(args, &mut i, "--drain-ms")?;
-                let ms: u64 =
-                    text.parse().map_err(|_| format!("invalid --drain-ms value {text:?}"))?;
+                let ms = take_parsed(args, &mut i, "--drain-ms", None)?;
                 front.drain = std::time::Duration::from_millis(ms);
                 front_tuned = true;
             }
@@ -591,61 +581,17 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
                 fsync = text.parse()?;
             }
             "--checkpoint-every" => {
-                let text = take_value(args, &mut i, "--checkpoint-every")?;
-                let n: u64 = text
-                    .parse()
-                    .map_err(|_| format!("invalid --checkpoint-every value {text:?}"))?;
-                if n == 0 {
-                    return Err("--checkpoint-every must be at least 1".into());
-                }
-                checkpoint_every = Some(n);
+                checkpoint_every = Some(take_parsed(args, &mut i, "--checkpoint-every", Some(1))?)
             }
             "--metrics-every" => {
-                let text = take_value(args, &mut i, "--metrics-every")?;
-                let n: u64 =
-                    text.parse().map_err(|_| format!("invalid --metrics-every value {text:?}"))?;
-                if n == 0 {
-                    return Err("--metrics-every must be at least 1".into());
-                }
-                metrics_every = Some(n);
+                metrics_every = Some(take_parsed(args, &mut i, "--metrics-every", Some(1))?)
             }
             "--trace-out" => trace_out = Some(take_value(args, &mut i, "--trace-out")?),
-            "--deadline-ms" => {
-                let text = take_value(args, &mut i, "--deadline-ms")?;
-                let ms: u64 =
-                    text.parse().map_err(|_| format!("invalid --deadline-ms value {text:?}"))?;
-                limits.deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--max-steps" => {
-                let text = take_value(args, &mut i, "--max-steps")?;
-                limits.max_steps =
-                    Some(text.parse().map_err(|_| format!("invalid --max-steps value {text:?}"))?);
-            }
-            "--max-granules" => {
-                let text = take_value(args, &mut i, "--max-granules")?;
-                limits.granule_limit = Some(
-                    text.parse().map_err(|_| format!("invalid --max-granules value {text:?}"))?,
-                );
-            }
-            "--threads" => {
-                let text = take_value(args, &mut i, "--threads")?;
-                let n: usize =
-                    text.parse().map_err(|_| format!("invalid --threads value {text:?}"))?;
-                if n == 0 {
-                    return Err("--threads must be at least 1".into());
-                }
-                threads = Some(n);
-            }
             "--redact-log" => redact_log = true,
             "--review-budget" => {
-                let text = take_value(args, &mut i, "--review-budget")?;
-                let n: u64 =
-                    text.parse().map_err(|_| format!("invalid --review-budget value {text:?}"))?;
-                if n == 0 {
-                    return Err("--review-budget must be at least 1".into());
-                }
-                review_budget = Some(n);
+                review_budget = Some(take_parsed(args, &mut i, "--review-budget", Some(1))?)
             }
+            _ if run.take(args, &mut i)? => {}
             other => return Err(format!("unknown option {other:?}")),
         }
         i += 1;
@@ -668,8 +614,8 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     let config = ServiceConfig {
-        limits,
-        parallelism: threads.unwrap_or_else(audex::core::default_parallelism),
+        limits: run.limits,
+        parallelism: run.threads.unwrap_or_else(audex::core::default_parallelism),
         checkpoint_every,
         metrics_every,
         redact_log,
@@ -814,134 +760,118 @@ fn take_data_dir(args: &[String]) -> Result<String, String> {
 }
 
 fn cmd_recover(args: &[String]) -> Result<(), String> {
-    let dir = take_data_dir(args)?;
-    // Opening for append repairs the torn tail and reconciles checkpoint vs
-    // WAL; recovering the service proves the records replay cleanly.
-    let (_journal, mut recovered) =
-        Journal::open(Path::new(&dir), WalOptions::default()).map_err(|e| format!("{dir}: {e}"))?;
-    report_recovery(&dir, &recovered);
-    let core = ServiceCore::recovered(&mut recovered, ServiceConfig::default())
-        .map_err(|e| format!("replaying {dir}: {e}"))?;
-    println!(
-        "recovered: {} record(s) ({} via checkpoint), {} logged quer{}, backlog at ts {}",
-        recovered.total_records(),
-        recovered.checkpoint.as_ref().map_or(0, |c| c.covers_seq),
-        core.log().len(),
-        if core.log().len() == 1 { "y" } else { "ies" },
-        core.db().last_ts().0,
-    );
-    match &recovered.torn {
-        Some(t) => println!(
-            "repaired: torn tail in {} ({} byte(s) dropped)",
-            t.path.display(),
-            t.dropped_bytes
-        ),
-        None => println!("clean: no torn tail"),
-    }
-    // Named tenant stores are repaired the same way, one by one; a corrupt
-    // tenant is reported and the rest keep going, exactly like fleet
-    // recovery in `serve`.
-    let mut failed = Vec::new();
-    for (name, tdir) in audex::persist::tenants::discover(Path::new(&dir))
-        .map_err(|e| format!("{dir}/tenants: {e}"))?
-    {
-        match recover_tenant_store(&tdir) {
-            Ok(line) => println!("tenant {name}: {line}"),
-            Err(e) => {
-                println!("tenant {name}: FAILED: {e}");
-                failed.push(name);
-            }
-        }
-    }
-    if failed.is_empty() {
-        Ok(())
-    } else {
-        Err(format!(
-            "{} tenant store(s) could not be recovered: {}",
-            failed.len(),
-            failed.join(", ")
-        ))
-    }
-}
-
-/// Repairs and replays one named tenant's store; returns its summary line.
-fn recover_tenant_store(dir: &Path) -> Result<String, String> {
-    let (_journal, mut recovered) =
-        Journal::open(dir, WalOptions::default()).map_err(|e| e.to_string())?;
-    let core = ServiceCore::recovered(&mut recovered, ServiceConfig::default())
-        .map_err(|e| format!("replay: {e}"))?;
-    Ok(format!(
-        "{} record(s) ({} via checkpoint), {} logged quer{}, {}",
-        recovered.total_records(),
-        recovered.checkpoint.as_ref().map_or(0, |c| c.covers_seq),
-        core.log().len(),
-        if core.log().len() == 1 { "y" } else { "ies" },
-        match &recovered.torn {
-            Some(t) => format!("torn tail repaired ({} byte(s) dropped)", t.dropped_bytes),
-            None => "clean".to_string(),
-        },
-    ))
+    each_store(&take_data_dir(args)?, "recovered", recover_store)
 }
 
 fn cmd_compact(args: &[String]) -> Result<(), String> {
-    let dir = take_data_dir(args)?;
-    let (journal, mut recovered) =
-        Journal::open(Path::new(&dir), WalOptions::default()).map_err(|e| format!("{dir}: {e}"))?;
-    report_recovery(&dir, &recovered);
-    let mut core = ServiceCore::recovered(&mut recovered, ServiceConfig::default())
-        .map_err(|e| format!("replaying {dir}: {e}"))?;
-    core.attach_journal(journal);
-    let path = core.checkpoint().map_err(|e| format!("checkpointing {dir}: {e}"))?;
-    let jc = core.journal().map(|j| j.counters()).unwrap_or_default();
-    println!(
-        "compacted: checkpoint {} covers {} record(s); {} live segment(s), {} byte(s)",
-        path.display(),
-        jc.last_checkpoint_seq,
-        jc.segments,
-        jc.segment_bytes,
-    );
-    println!("{}", mvcc_gc_report(core.db()));
-    // Compact every named tenant store too; failures are reported but do
-    // not abort the remaining tenants.
+    each_store(&take_data_dir(args)?, "compacted", compact_store)
+}
+
+/// Runs `per_store` on the data-dir root, then on every named tenant's
+/// store. A failing root is the command's error; a failing tenant is
+/// reported and the rest keep going, exactly like fleet recovery in
+/// `serve`.
+fn each_store(
+    dir: &str,
+    done: &str,
+    per_store: fn(&Path, Option<&str>) -> Result<(), String>,
+) -> Result<(), String> {
+    per_store(Path::new(dir), None)?;
     let mut failed = Vec::new();
-    for (name, tdir) in audex::persist::tenants::discover(Path::new(&dir))
+    for (name, tdir) in audex::persist::tenants::discover(Path::new(dir))
         .map_err(|e| format!("{dir}/tenants: {e}"))?
     {
-        match compact_tenant_store(&tdir) {
-            Ok(line) => println!("tenant {name}: {line}"),
-            Err(e) => {
-                println!("tenant {name}: FAILED: {e}");
-                failed.push(name);
-            }
+        if let Err(e) = per_store(&tdir, Some(&name)) {
+            println!("tenant {name}: FAILED: {e}");
+            failed.push(name);
         }
     }
     if failed.is_empty() {
         Ok(())
     } else {
-        Err(format!(
-            "{} tenant store(s) could not be compacted: {}",
-            failed.len(),
-            failed.join(", ")
-        ))
+        Err(format!("{} tenant store(s) could not be {done}: {}", failed.len(), failed.join(", ")))
     }
 }
 
-/// Checkpoints and prunes one named tenant's store; returns its summary.
-fn compact_tenant_store(dir: &Path) -> Result<String, String> {
+/// Opens one store for append (repairing a torn tail, reconciling
+/// checkpoint and WAL) and replays it. The root names itself in its
+/// errors and reports the recovery on stderr; a tenant's line already
+/// names the tenant.
+fn open_store(
+    dir: &Path,
+    tenant: Option<&str>,
+) -> Result<(Arc<Journal>, Recovered, ServiceCore), String> {
+    let shown = dir.display().to_string();
     let (journal, mut recovered) =
-        Journal::open(dir, WalOptions::default()).map_err(|e| e.to_string())?;
-    let mut core = ServiceCore::recovered(&mut recovered, ServiceConfig::default())
-        .map_err(|e| format!("replay: {e}"))?;
+        Journal::open(dir, WalOptions::default()).map_err(|e| match tenant {
+            None => format!("{shown}: {e}"),
+            Some(_) => e.to_string(),
+        })?;
+    if tenant.is_none() {
+        report_recovery(&shown, &recovered);
+    }
+    let core =
+        ServiceCore::recovered(&mut recovered, ServiceConfig::default()).map_err(
+            |e| match tenant {
+                None => format!("replaying {shown}: {e}"),
+                Some(_) => format!("replay: {e}"),
+            },
+        )?;
+    Ok((journal, recovered, core))
+}
+
+/// `recover`: repairs and replays one store, proving its records replay
+/// cleanly, and prints its summary.
+fn recover_store(dir: &Path, tenant: Option<&str>) -> Result<(), String> {
+    let (_journal, recovered, core) = open_store(dir, tenant)?;
+    let queries = core.log().len();
+    let summary = format!(
+        "{} record(s) ({} via checkpoint), {queries} logged quer{}",
+        recovered.total_records(),
+        recovered.checkpoint.as_ref().map_or(0, |c| c.covers_seq),
+        if queries == 1 { "y" } else { "ies" },
+    );
+    match (tenant, &recovered.torn) {
+        (None, torn) => {
+            println!("recovered: {summary}, backlog at ts {}", core.db().last_ts().0);
+            match torn {
+                Some(t) => println!(
+                    "repaired: torn tail in {} ({} byte(s) dropped)",
+                    t.path.display(),
+                    t.dropped_bytes
+                ),
+                None => println!("clean: no torn tail"),
+            }
+        }
+        (Some(name), Some(t)) => println!(
+            "tenant {name}: {summary}, torn tail repaired ({} byte(s) dropped)",
+            t.dropped_bytes
+        ),
+        (Some(name), None) => println!("tenant {name}: {summary}, clean"),
+    }
+    Ok(())
+}
+
+/// `compact`: checkpoints one store, prunes its covered segments and
+/// reports its dead tuple versions.
+fn compact_store(dir: &Path, tenant: Option<&str>) -> Result<(), String> {
+    let (journal, _recovered, mut core) = open_store(dir, tenant)?;
     core.attach_journal(journal);
-    core.checkpoint().map_err(|e| format!("checkpoint: {e}"))?;
+    let path = core.checkpoint().map_err(|e| match tenant {
+        None => format!("checkpointing {}: {e}", dir.display()),
+        Some(_) => format!("checkpoint: {e}"),
+    })?;
     let jc = core.journal().map(|j| j.counters()).unwrap_or_default();
-    let mut line = format!(
-        "checkpoint covers {} record(s); {} live segment(s), {} byte(s)",
+    let covers = format!(
+        "covers {} record(s); {} live segment(s), {} byte(s)",
         jc.last_checkpoint_seq, jc.segments, jc.segment_bytes,
     );
-    line.push_str("; ");
-    line.push_str(&mvcc_gc_report(core.db()));
-    Ok(line)
+    let gc = mvcc_gc_report(core.db());
+    match tenant {
+        None => println!("compacted: checkpoint {} {covers}\n{gc}", path.display()),
+        Some(name) => println!("tenant {name}: checkpoint {covers}; {gc}"),
+    }
+    Ok(())
 }
 
 /// Dead-version occupancy of the version stores. Dead versions are
@@ -981,14 +911,8 @@ fn cmd_triage(args: &[String]) -> Result<(), String> {
         match args[i].as_str() {
             "--data-dir" => data_dir = Some(take_value(args, &mut i, "--data-dir")?),
             "--tenant" => tenant = Some(take_value(args, &mut i, "--tenant")?),
-            "--top" => {
-                let text = take_value(args, &mut i, "--top")?;
-                top = Some(text.parse().map_err(|_| format!("invalid --top value {text:?}"))?);
-            }
-            "--offset" => {
-                let text = take_value(args, &mut i, "--offset")?;
-                offset = text.parse().map_err(|_| format!("invalid --offset value {text:?}"))?;
-            }
+            "--top" => top = Some(take_parsed(args, &mut i, "--top", None)?),
+            "--offset" => offset = take_parsed(args, &mut i, "--offset", None)?,
             other => return Err(format!("unknown option {other:?}")),
         }
         i += 1;
@@ -1057,10 +981,7 @@ fn cmd_send(args: &[String]) -> Result<(), String> {
             "--addr" => addr = Some(take_value(args, &mut i, "--addr")?),
             "--tenant" => tenant = Some(take_value(args, &mut i, "--tenant")?),
             "--connect-retries" => {
-                let text = take_value(args, &mut i, "--connect-retries")?;
-                connect_retries = text
-                    .parse()
-                    .map_err(|_| format!("invalid --connect-retries value {text:?}"))?;
+                connect_retries = take_parsed(args, &mut i, "--connect-retries", None)?
             }
             other if other.starts_with("--") => return Err(format!("unknown option {other:?}")),
             req => requests.push(req.to_string()),

@@ -469,6 +469,18 @@ fn serve_rejects_the_removed_mode_flags_by_name() {
     }
 }
 
+#[test]
+fn serve_reports_bad_option_values_verbatim() {
+    for (args, message) in [
+        (&["serve", "--stdio", "--max-conns", "x"][..], "invalid --max-conns value \"x\""),
+        (&["serve", "--stdio", "--threads", "0"], "--threads must be at least 1"),
+    ] {
+        let (status, _, stderr) = run_audex(args);
+        assert_eq!(status.code(), Some(1), "{args:?}: {stderr}");
+        assert_eq!(stderr, format!("error: {message}\n"), "{args:?}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // Telemetry on the error path: every span that opened must close — present
 // in the trace with a duration — and the interrupted ones must say so.

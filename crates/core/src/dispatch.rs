@@ -58,6 +58,7 @@ use audex_storage::Tid;
 
 use crate::candidate::BaseColumn;
 use crate::engine::PreparedAudit;
+use crate::suspicion::Combo;
 
 /// Stable identity of a registered audit.
 ///
@@ -291,7 +292,8 @@ pub struct DispatchIndex {
     value_mode: SlotSet,
     indisp: SlotSet,
     by_attr: HashMap<BaseColumn, SlotSet>,
-    by_tid: HashMap<(Ident, Tid), SlotSet>,
+    /// Base table → tid → audits holding that tuple among their facts.
+    by_tid: HashMap<Ident, HashMap<Tid, SlotSet>>,
     stats: DispatchStats,
     obs: Option<DispatchObs>,
 }
@@ -367,7 +369,8 @@ impl DispatchIndex {
             for fact in &prepared.view.facts {
                 for (binding, tid) in &fact.tids {
                     if let Some(e) = prepared.scope.entry(binding) {
-                        self.by_tid.entry((e.base.clone(), *tid)).or_default().insert(slot);
+                        let by_base = self.by_tid.entry(e.base.clone()).or_default();
+                        by_base.entry(*tid).or_default().insert(slot);
                     }
                 }
             }
@@ -436,12 +439,12 @@ impl DispatchIndex {
 
     /// Runs the pre-execution layers for one logged query. `q_bases` are the
     /// base tables of the query's resolved scope and `projected` its
-    /// projected columns in base identity.
-    pub(crate) fn probe(
+    /// plain-column projections in base identity.
+    pub(crate) fn probe<'a>(
         &mut self,
         q: &LoggedQuery,
         q_bases: &BTreeSet<Ident>,
-        projected: &BTreeSet<BaseColumn>,
+        projected: impl Iterator<Item = &'a BaseColumn>,
     ) -> Probe {
         self.note_probe();
         self.ensure_tree();
@@ -502,10 +505,11 @@ impl DispatchIndex {
 
     /// Layer 7: keeps only indispensable-mode candidates holding at least
     /// one of the lineage's `(base, Tid)` pairs among their fact tuples.
-    pub(crate) fn narrow_by_tids(&self, indisp: &mut SlotSet, pairs: &BTreeSet<(Ident, Tid)>) {
+    pub(crate) fn narrow_by_tids(&self, indisp: &mut SlotSet, combos: &[Combo]) {
         let mut hits = SlotSet::default();
-        for p in pairs {
-            if let Some(s) = self.by_tid.get(p) {
+        for (base, tids) in combos.iter().flatten() {
+            let Some(by_base) = self.by_tid.get(base) else { continue };
+            for s in tids.iter().filter_map(|t| by_base.get(t)) {
                 hits.union(s);
             }
         }

@@ -26,7 +26,7 @@ use crate::error::AuditError;
 use crate::governor::{AuditPhase, Governor, ResourceLimits};
 use crate::granule::GranuleModel;
 use crate::limits::{build_filter, resolve_interval};
-use crate::suspicion::{BatchEvaluator, BatchVerdict};
+use crate::suspicion::{AuditTerms, BatchEvaluator, BatchVerdict};
 use crate::target::{compute_target_view_governed, TargetView};
 use audex_log::{AccessFilter, LoggedQuery, QueryId, QueryLog};
 
@@ -88,6 +88,8 @@ pub struct PreparedAudit {
     pub model: GranuleModel,
     /// The computed target view `U`.
     pub view: TargetView,
+    /// What every fold and count reads of this audit, derived once here.
+    pub terms: AuditTerms,
     /// The log filter from the limiting parameters.
     pub filter: AccessFilter,
     /// The reference "current time" used for `now()` and defaults.
@@ -326,7 +328,8 @@ impl<'a> AuditEngine<'a> {
             indispensable: expr.indispensable,
         };
         governor.check_granules(model.count(view.len()))?;
-        Ok(PreparedAudit { expr: expr.clone(), scope, spec, model, view, filter, now })
+        let terms = AuditTerms::new(&scope, &model, &view);
+        Ok(PreparedAudit { expr: expr.clone(), scope, spec, model, view, terms, filter, now })
     }
 
     /// Audits many expressions over the same log, executing each logged

@@ -11,30 +11,38 @@
 //! columns; any number of prepared audits can then be evaluated against the
 //! index with no further query execution.
 //!
-//! The index is exact, not approximate: [`TouchIndex::evaluate`] produces
-//! verdicts identical to [`crate::suspicion::BatchEvaluator::evaluate`]
-//! (asserted in tests and in the B8 benchmark).
+//! The index is exact, not approximate: [`TouchIndex::evaluate`] folds
+//! each stored footprint through the same derivation, fold and count as
+//! [`crate::suspicion::BatchEvaluator::evaluate`], and produces identical
+//! verdicts — asserted by
+//! `tests/touch_index.rs::index_agrees_with_direct_evaluation_across_audits`
+//! and `::audit_many_matches_individual_audits`,
+//! `proptest_dispatch::online_batch_and_index_verdicts_agree`, and the unit
+//! test `governed_evaluation_trips_in_indexing_and_matches_batch` below.
 
 use audex_sql::Ident;
-use audex_storage::{Database, JoinStrategy, ResultSet, Tid};
+use audex_storage::{Database, JoinStrategy, Tid};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::attrspec::ResolvedColumn;
-use crate::candidate::{accessed_base_columns, BaseColumn};
-use crate::catalog::{base_name, AuditScope};
+use crate::candidate::BaseColumn;
+use crate::catalog::ScopeEntry;
 use crate::engine::PreparedAudit;
 use crate::error::AuditError;
 use crate::governor::{AuditPhase, Governor};
-use crate::granule::binomial;
-use crate::suspicion::BatchVerdict;
+use crate::suspicion::{
+    covered_tuples_by_base, derive_contribution, AuditBatchState, BatchVerdict, CoveredTuples,
+    FactProbeCache, LineageView, Role, SharedQueryState, ValueRow,
+};
 use audex_log::{LoggedQuery, QueryId};
 
 /// Per-query execution footprint.
 ///
 /// Public (with public fields) so a durability layer can checkpoint the
 /// index and restore it without re-executing queries — footprint execution
-/// is the dominant cost of both index builds and recovery.
+/// is the dominant cost of both index builds and recovery. Built only by
+/// [`crate::suspicion::SharedQueryState`], from the same execution the
+/// online auditor scores, so the index and the scores read one lineage.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryFootprint {
     /// The indexed query.
@@ -51,79 +59,18 @@ pub struct QueryFootprint {
     pub value_rows: Vec<Vec<(BaseColumn, audex_storage::Value)>>,
 }
 
-/// Builds a [`QueryFootprint`] from an already-resolved scope and an
-/// already-executed result set. Split out of [`TouchIndex`]'s private
-/// `footprint` so the online auditor can derive the footprint from its
-/// *shared* execution ([`crate::suspicion::SharedQueryState`]) instead of
-/// running the query a second time — both paths produce byte-identical
-/// footprints because this is the only constructor.
-pub(crate) fn footprint_from_parts(
-    q: &LoggedQuery,
-    q_scope: &AuditScope,
-    rs: &ResultSet,
-) -> QueryFootprint {
-    let combos = rs
-        .lineage
-        .iter()
-        .map(|lin| {
-            let mut m: BTreeMap<Ident, BTreeSet<Tid>> = BTreeMap::new();
-            for e in lin {
-                m.entry(base_name(&e.table)).or_default().insert(e.tid);
-            }
-            m
-        })
-        .collect();
-
-    // Record plain-column output positions for value-mode matching.
-    let mut out_cols: Vec<(usize, BaseColumn)> = Vec::new();
-    let mut idx = 0usize;
-    for item in &q.query().projection {
-        match item {
-            audex_sql::ast::SelectItem::Wildcard => {
-                for e in q_scope.entries() {
-                    for (name, _) in e.schema.iter() {
-                        out_cols.push((idx, (e.base.clone(), name.clone())));
-                        idx += 1;
-                    }
-                }
-            }
-            audex_sql::ast::SelectItem::QualifiedWildcard(t) => {
-                if let Some(e) = q_scope.entry(t) {
-                    for (name, _) in e.schema.iter() {
-                        out_cols.push((idx, (e.base.clone(), name.clone())));
-                        idx += 1;
-                    }
-                }
-            }
-            audex_sql::ast::SelectItem::Expr { expr, .. } => {
-                if let audex_sql::ast::Expr::Column(c) = expr {
-                    if let Ok(rc) = crate::attrspec::ColumnResolver::resolve(q_scope, c) {
-                        if let Some(e) = q_scope.entry(&rc.table) {
-                            out_cols.push((idx, (e.base.clone(), rc.column.clone())));
-                        }
-                    }
-                }
-                idx += 1;
-            }
-        }
+/// A stored footprint is a lineage view whose query already ran.
+impl LineageView for &QueryFootprint {
+    fn scope(&self) -> Option<(&BTreeSet<Ident>, &BTreeSet<BaseColumn>)> {
+        Some((&self.bases, &self.covered))
     }
-    let value_rows = rs
-        .rows
-        .iter()
-        .map(|row| {
-            out_cols
-                .iter()
-                .filter_map(|(ri, bc)| row.get(*ri).map(|v| (bc.clone(), v.clone())))
-                .collect()
-        })
-        .collect();
 
-    QueryFootprint {
-        id: q.id,
-        bases: q_scope.entries().iter().map(|e| e.base.clone()).collect(),
-        covered: accessed_base_columns(q, q_scope),
-        combos,
-        value_rows,
+    fn covered_by(&mut self, shared: &[&ScopeEntry]) -> Option<CoveredTuples> {
+        Some(Arc::new(covered_tuples_by_base(&self.combos, shared)))
+    }
+
+    fn value_rows(&mut self) -> Option<&[ValueRow]> {
+        Some(&self.value_rows)
     }
 }
 
@@ -263,9 +210,7 @@ impl TouchIndex {
     }
 
     fn footprint(db: &Database, q: &LoggedQuery, strategy: JoinStrategy) -> Option<QueryFootprint> {
-        let q_scope = AuditScope::resolve(db, &q.query().from).ok()?;
-        let rs = db.at(q.executed_at).query_with(q.query(), strategy).ok()?;
-        Some(footprint_from_parts(q, &q_scope, &rs))
+        SharedQueryState::new(db, q, strategy).into_footprint()
     }
 
     /// Number of indexed queries.
@@ -289,135 +234,36 @@ impl TouchIndex {
         self.evaluate_governed(prepared, admitted, &Governor::unlimited())
     }
 
-    /// [`TouchIndex::evaluate`] under a [`Governor`]: one step per admitted
-    /// footprint plus one per fact tested against it.
+    /// [`TouchIndex::evaluate`] under a [`Governor`], charging
+    /// [`AuditPhase::Indexing`]: one step per admitted footprint, one per
+    /// probe of the smaller side of each fact-probe join (or per fact per
+    /// value row in value mode), plus one per fact for each probe-map build
+    /// — a map is built once per base-table signature per call, never
+    /// shared with the online auditor's.
     pub fn evaluate_governed(
         &self,
         prepared: &PreparedAudit,
         admitted: &BTreeSet<QueryId>,
         governor: &Governor,
     ) -> Result<BatchVerdict, AuditError> {
-        let scope = &prepared.scope;
-        let model = &prepared.model;
-        let view = &prepared.view;
-
-        let relevant: BTreeSet<BaseColumn> =
-            model.spec.all_columns().iter().filter_map(|c| scope.base_of_column(c)).collect();
-
-        // View-column lookup for value mode.
-        let mut columns_by_base: BTreeMap<BaseColumn, Vec<ResolvedColumn>> = BTreeMap::new();
-        for c in &view.columns {
-            if let Some(bc) = scope.base_of_column(c) {
-                columns_by_base.entry(bc).or_default().push(c.clone());
-            }
-        }
-
-        let mut contributing = Vec::new();
+        let (scope, view, terms) = (&prepared.scope, &prepared.view, &prepared.terms);
+        let phase = AuditPhase::Indexing;
+        let mut state = AuditBatchState::default();
         let mut witnesses = Vec::new();
-        let mut touched_union: BTreeSet<usize> = BTreeSet::new();
-        let mut covered_union: BTreeSet<BaseColumn> = BTreeSet::new();
-        let mut exposure: BTreeMap<usize, BTreeSet<ResolvedColumn>> = BTreeMap::new();
-
-        for fp in &self.footprints {
-            if !admitted.contains(&fp.id) {
-                continue;
-            }
-            governor.tick(AuditPhase::Indexing)?;
-            let shared_bindings: Vec<&Ident> = scope
-                .entries()
-                .iter()
-                .filter(|e| fp.bases.contains(&e.base))
-                .map(|e| &e.binding)
-                .collect();
-
-            if model.indispensable {
-                if shared_bindings.is_empty() {
-                    continue;
-                }
-                // Hash-set probe per fact instead of rescanning every
-                // combination (see `suspicion::covered_tuples`).
-                let covered = crate::suspicion::covered_tuples(&fp.combos, &shared_bindings, scope);
-                let mut touched = BTreeSet::new();
-                for (fi, fact) in view.facts.iter().enumerate() {
-                    governor.tick(AuditPhase::Indexing)?;
-                    let key: Option<Vec<Tid>> =
-                        shared_bindings.iter().map(|b| fact.tid_of(b)).collect();
-                    if key.is_some_and(|k| covered.contains(&k)) {
-                        touched.insert(fi);
-                    }
-                }
-                if !touched.is_empty() {
-                    touched_union.extend(touched.iter().copied());
-                    covered_union.extend(fp.covered.iter().cloned());
-                    if fp.covered.iter().any(|bc| relevant.contains(bc)) {
-                        contributing.push(fp.id);
-                    } else {
-                        witnesses.push(fp.id);
-                    }
-                }
-            } else {
-                let mut exposed_any = false;
-                for row in &fp.value_rows {
-                    governor.bump(AuditPhase::Indexing, view.facts.len() as u64)?;
-                    for (bc, v) in row {
-                        let Some(audit_cols) = columns_by_base.get(bc) else { continue };
-                        for (fi, fact) in view.facts.iter().enumerate() {
-                            for ac in audit_cols {
-                                if let Some(fv) = fact.values.get(ac) {
-                                    if v.grouping_eq(fv) {
-                                        exposure.entry(fi).or_default().insert(ac.clone());
-                                        exposed_any = true;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                if exposed_any {
-                    contributing.push(fp.id);
+        let mut probe = FactProbeCache::default();
+        for fp in self.footprints.iter().filter(|fp| admitted.contains(&fp.id)) {
+            governor.tick(phase)?;
+            // A stored footprint already ran, so it always derives `Some`.
+            let c =
+                derive_contribution(&mut &*fp, scope, view, terms, &mut probe, governor, phase)?;
+            if let Some(c) = c {
+                if state.fold(terms, fp.id, &c) == Role::Witness {
+                    witnesses.push(fp.id);
                 }
             }
         }
-
-        // Identical counting to BatchEvaluator::evaluate.
-        let n = view.len();
-        let k = model.k_for(n);
-        let mut per_scheme_accessed = Vec::with_capacity(model.spec.len());
-        let mut accessed: u128 = 0;
-        for scheme in model.spec.schemes() {
-            let m = if model.indispensable {
-                let covered = scheme
-                    .iter()
-                    .all(|c| scope.base_of_column(c).is_some_and(|bc| covered_union.contains(&bc)));
-                if covered {
-                    touched_union.len() as u64
-                } else {
-                    0
-                }
-            } else {
-                view.facts
-                    .iter()
-                    .enumerate()
-                    .filter(|(fi, _)| {
-                        exposure.get(fi).is_some_and(|cols| scheme.iter().all(|c| cols.contains(c)))
-                    })
-                    .count() as u64
-            };
-            let a = binomial(m, k);
-            per_scheme_accessed.push(a);
-            accessed = accessed.saturating_add(a);
-        }
-        let total = model.count(n);
-        Ok(BatchVerdict {
-            suspicious: accessed > 0,
-            accessed_granules: accessed,
-            total_granules: total,
-            degree: if total == 0 { 0.0 } else { accessed as f64 / total as f64 },
-            per_scheme_accessed,
-            contributing,
-            witnesses,
-            skipped: self.skipped.iter().filter(|id| admitted.contains(id)).copied().collect(),
-        })
+        let skipped = self.skipped.iter().filter(|id| admitted.contains(id)).copied().collect();
+        Ok(state.verdict(terms).with_queries(state.contributing, witnesses, skipped))
     }
 }
 
@@ -453,5 +299,69 @@ mod tests {
         let index = TouchIndex::build(&db, &batch, JoinStrategy::Auto);
         assert_eq!(index.len(), 1);
         assert_eq!(index.skipped, vec![QueryId(2)]);
+    }
+
+    #[test]
+    fn governed_evaluation_trips_in_indexing_and_matches_batch() {
+        let mut db = Database::new();
+        let p = Ident::new("Patients");
+        let schema = audex_storage::Schema::of(&[
+            ("pid", audex_sql::ast::TypeName::Text),
+            ("zipcode", audex_sql::ast::TypeName::Text),
+            ("disease", audex_sql::ast::TypeName::Text),
+        ]);
+        db.create_table(p.clone(), schema, Timestamp(0)).unwrap();
+        for (pid, zip, dis) in
+            [("p1", "120016", "cancer"), ("p2", "145568", "flu"), ("p3", "120016", "acne")]
+        {
+            db.insert(&p, vec![pid.into(), zip.into(), dis.into()], Timestamp(1)).unwrap();
+        }
+        let log = QueryLog::new();
+        let ctx = || audex_log::AccessContext::new("u", "r", "p");
+        for (i, sql) in [
+            "SELECT disease FROM Patients WHERE zipcode = '120016'",
+            "SELECT pid FROM Patients WHERE disease = 'cancer'",
+            "SELECT zipcode FROM Patients",
+            "SELECT x FROM ghost",
+        ]
+        .iter()
+        .enumerate()
+        {
+            log.record_text(sql, Timestamp(10 + i as i64), ctx()).unwrap();
+        }
+        let batch = log.snapshot();
+        let index = TouchIndex::build(&db, &batch, JoinStrategy::Auto);
+        let admitted: BTreeSet<QueryId> = batch.iter().map(|q| q.id).collect();
+        let engine = crate::engine::AuditEngine::new(&db, &log);
+        let all_time = "DURING 1/1/1970 TO now() DATA-INTERVAL 1/1/1970 TO now()";
+        for audit in [
+            "AUDIT disease FROM Patients WHERE zipcode = '120016'",
+            "THRESHOLD 2 AUDIT [zipcode, disease] FROM Patients",
+            "INDISPENSABLE false AUDIT disease FROM Patients WHERE zipcode = '120016'",
+        ] {
+            let text = format!("{all_time} {audit}");
+            let expr = audex_sql::parse_audit(&text).unwrap();
+            let prepared = engine.prepare(&expr, Timestamp(100)).unwrap();
+
+            let err = index
+                .evaluate_governed(&prepared, &admitted, &Governor::unlimited().with_max_steps(1))
+                .unwrap_err();
+            assert!(
+                matches!(err, AuditError::BudgetExhausted { phase: AuditPhase::Indexing, .. }),
+                "{text}: {err:?}"
+            );
+
+            let batch_verdict = crate::suspicion::BatchEvaluator::new(
+                &db,
+                &prepared.scope,
+                &prepared.model,
+                &prepared.view,
+                JoinStrategy::Auto,
+            )
+            .evaluate(&batch)
+            .unwrap();
+            assert!(batch_verdict.suspicious, "{text}");
+            assert_eq!(index.evaluate(&prepared, &admitted).unwrap(), batch_verdict, "{text}");
+        }
     }
 }

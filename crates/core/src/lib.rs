@@ -76,7 +76,9 @@ pub use governor::{AuditPhase, Governor, ResourceLimits};
 pub use granule::{binomial, Granule, GranuleModel};
 pub use index::{QueryFootprint, TouchIndex};
 pub use parallel::{default_parallelism, par_map};
-pub use rank::{AuditBatchState, OnlineAuditor, QueryScore, ScoreEvidence};
+pub use rank::{OnlineAuditor, QueryScore, ScoreEvidence};
 pub use static_batch::{static_semantic_bound, static_weak_syntactic, StaticVerdict};
-pub use suspicion::{BatchEvaluator, BatchVerdict, QueryContribution};
+pub use suspicion::{
+    AuditBatchState, AuditTerms, BatchEvaluator, BatchVerdict, QueryContribution, Role, Verdict,
+};
 pub use target::{compute_target_view, TargetView, UFact};

@@ -17,18 +17,18 @@
 //! batch state.
 
 use audex_storage::{Database, JoinStrategy};
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use crate::attrspec::ResolvedColumn;
 use crate::candidate::BaseColumn;
 use crate::dispatch::{AuditId, DispatchIndex, DispatchStats};
 use crate::engine::PreparedAudit;
 use crate::error::AuditError;
-use crate::granule::binomial;
+use crate::governor::{AuditPhase, Governor};
 use crate::index::QueryFootprint;
 use crate::suspicion::{
-    projected_base_columns, BatchEvaluator, FactProbeCache, QueryContribution, SharedQueryState,
+    derive_contribution, AuditBatchState, FactProbeCache, QueryContribution, Role,
+    SharedQueryState, Verdict,
 };
 use audex_log::{LoggedQuery, QueryId};
 
@@ -74,23 +74,6 @@ pub struct QueryScore {
     pub evidence: ScoreEvidence,
 }
 
-/// Running batch state for one audit.
-///
-/// Public (with public fields) so a durability layer can checkpoint the
-/// auditor's accumulated state and restore it without re-observing every
-/// logged query.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct AuditBatchState {
-    /// Fact indices of `U` touched so far (indispensable mode).
-    pub touched: BTreeSet<usize>,
-    /// Accessed columns seen so far, in base identity.
-    pub covered: BTreeSet<BaseColumn>,
-    /// Per-fact exposed audit columns (value mode).
-    pub exposure: BTreeMap<usize, BTreeSet<ResolvedColumn>>,
-    /// Ids that contributed, in arrival order.
-    pub contributing: Vec<QueryId>,
-}
-
 struct AuditEntry {
     prepared: PreparedAudit,
     state: AuditBatchState,
@@ -99,6 +82,32 @@ struct AuditEntry {
     /// one, so full-scan queries that legitimately shortlist this audit
     /// stop paying a per-fact scan on every observation.
     probe: FactProbeCache,
+}
+
+impl AuditEntry {
+    /// Derives query `q`'s contribution from the shared lineage, folds it
+    /// into the batch state and scores it — the one path `observe` and the
+    /// scan-all reference share. `None` when the audit does not admit the
+    /// query or the query contributes nothing.
+    fn observe(
+        &mut self,
+        id: AuditId,
+        q: &LoggedQuery,
+        shared: &mut SharedQueryState,
+        governor: &Governor,
+    ) -> Option<QueryScore> {
+        let p = &self.prepared;
+        if !p.filter.admits(q) {
+            return None;
+        }
+        let (probe, phase) = (&mut self.probe, AuditPhase::Suspicion);
+        let c = derive_contribution(shared, &p.scope, &p.view, &p.terms, probe, governor, phase);
+        let c = c.ok().flatten()?;
+        match self.state.fold(&p.terms, q.id, &c) {
+            Role::Nothing => None,
+            Role::Contributor | Role::Witness => Some(score(id, p, &c)),
+        }
+    }
 }
 
 /// Scores queries online against a set of prepared audits.
@@ -262,26 +271,14 @@ impl OnlineAuditor {
         q: &Arc<LoggedQuery>,
     ) -> Result<Vec<QueryScore>, AuditError> {
         let strategy = self.strategy;
+        let governor = Governor::unlimited();
         let mut scores = Vec::new();
         for (id, entry) in self.entries.iter_mut() {
-            let AuditEntry { prepared, state, probe } = entry;
-            if !prepared.filter.admits(q) {
-                continue;
-            }
-            let evaluator =
-                BatchEvaluator::new(db, &prepared.scope, &prepared.model, &prepared.view, strategy);
             // One fresh execution per audit (the reference stays the
             // faithful slow baseline), but the fact-probe maps are per-audit
             // and query-independent, so it uses the entry's cache too.
-            let mut shared = SharedQueryState::new(db, q);
-            let contrib = match evaluator.try_contribution_with(q, &mut shared, probe) {
-                Ok(Some(c)) => c,
-                _ => continue,
-            };
-            if contrib.is_empty() {
-                continue;
-            }
-            scores.push(score_and_update(*id, prepared, state, &contrib, q));
+            let mut shared = SharedQueryState::new(db, q, strategy);
+            scores.extend(entry.observe(*id, q, &mut shared, &governor));
         }
         Ok(scores)
     }
@@ -301,10 +298,9 @@ impl OnlineAuditor {
         want_footprint: bool,
     ) -> (Vec<QueryScore>, Option<QueryFootprint>) {
         let live = self.entries.len();
-        let strategy = self.strategy;
-        let mut shared = SharedQueryState::new(db, q);
+        let mut shared = SharedQueryState::new(db, q, self.strategy);
 
-        let Some(q_scope) = shared.q_scope() else {
+        let Some(header) = shared.header() else {
             // The query itself does not resolve: every contribution would
             // be `None`, so nothing can score or mutate state — and the
             // touch index would skip it for the same reason.
@@ -312,14 +308,11 @@ impl OnlineAuditor {
             self.dispatch.record_shortlist(0, live);
             return (Vec::new(), None);
         };
-        let q_bases: BTreeSet<audex_sql::Ident> =
-            q_scope.entries().iter().map(|e| e.base.clone()).collect();
-        let projected = projected_base_columns(q, q_scope);
-
-        let mut probe = self.dispatch.probe(q, &q_bases, &projected);
+        let projected = header.out_columns.iter().map(|(_, bc)| bc);
+        let mut probe = self.dispatch.probe(q, &header.bases, projected);
         if !probe.indisp.is_empty() {
-            match shared.lineage_pairs(db, q, strategy) {
-                Some(pairs) => self.dispatch.narrow_by_tids(&mut probe.indisp, &pairs),
+            match shared.combos() {
+                Some(combos) => self.dispatch.narrow_by_tids(&mut probe.indisp, combos),
                 None => {
                     // Execution failed: every shortlisted audit would skip.
                     probe.indisp.clear();
@@ -332,75 +325,34 @@ impl OnlineAuditor {
         shortlist.union(&probe.indisp);
         self.dispatch.record_shortlist(shortlist.count(), live);
 
+        let governor = Governor::unlimited();
         let mut scores = Vec::new();
         for slot in shortlist.iter() {
             let Some(id) = self.dispatch.id_at(slot) else { continue };
             let Some(entry) = self.entries.get_mut(&id) else { continue };
-            let AuditEntry { prepared, state, probe } = entry;
-            if !prepared.filter.admits(q) {
-                continue;
-            }
-            let evaluator =
-                BatchEvaluator::new(db, &prepared.scope, &prepared.model, &prepared.view, strategy);
-            let contrib = match evaluator.try_contribution_with(q, &mut shared, probe) {
-                Ok(Some(c)) => c,
-                _ => continue,
-            };
-            if contrib.is_empty() {
-                continue;
-            }
-            scores.push(score_and_update(id, prepared, state, &contrib, q));
+            scores.extend(entry.observe(id, q, &mut shared, &governor));
         }
-        let fp = if want_footprint { shared.footprint(db, q, strategy) } else { None };
+        let fp = if want_footprint { shared.into_footprint() } else { None };
         (scores, fp)
     }
 
-    /// The current batch degree for an audit (same counting rule as
-    /// [`BatchEvaluator::evaluate`]); `0.0` for an unknown id.
+    /// An audit's batch verdict so far: the count [`AuditBatchState::verdict`]
+    /// makes over everything observed since the audit was pushed (or
+    /// restored) — the same count `BatchEvaluator::evaluate` and
+    /// `TouchIndex::evaluate` make. `None` for an unknown id.
+    pub fn verdict(&self, id: AuditId) -> Option<Verdict> {
+        self.entries.get(&id).map(|e| e.state.verdict(&e.prepared.terms))
+    }
+
+    /// An audit's current batch degree — accessed over total granules, read
+    /// off [`OnlineAuditor::verdict`]; `0.0` for an unknown id.
     pub fn degree(&self, id: AuditId) -> f64 {
-        let Some(entry) = self.entries.get(&id) else { return 0.0 };
-        let prepared = &entry.prepared;
-        let state = &entry.state;
-        let n = prepared.view.len();
-        let k = prepared.model.k_for(n);
-        let mut accessed: u128 = 0;
-        for scheme in prepared.model.spec.schemes() {
-            let m = if prepared.model.indispensable {
-                let covered = scheme.iter().all(|c| {
-                    prepared.scope.base_of_column(c).is_some_and(|bc| state.covered.contains(&bc))
-                });
-                if covered {
-                    state.touched.len() as u64
-                } else {
-                    0
-                }
-            } else {
-                prepared
-                    .view
-                    .facts
-                    .iter()
-                    .enumerate()
-                    .filter(|(fi, _)| {
-                        state
-                            .exposure
-                            .get(fi)
-                            .is_some_and(|cols| scheme.iter().all(|c| cols.contains(c)))
-                    })
-                    .count() as u64
-            };
-            accessed = accessed.saturating_add(binomial(m, k));
-        }
-        let total = prepared.model.count(n);
-        if total == 0 {
-            0.0
-        } else {
-            accessed as f64 / total as f64
-        }
+        self.verdict(id).map_or(0.0, |v| v.degree)
     }
 
     /// True when an audit's batch has turned suspicious.
     pub fn is_suspicious(&self, id: AuditId) -> bool {
-        self.degree(id) > 0.0
+        self.verdict(id).is_some_and(|v| v.suspicious())
     }
 
     /// Ids that contributed to an audit, in arrival order.
@@ -429,44 +381,21 @@ impl OnlineAuditor {
     }
 }
 
-/// Scores one non-empty contribution and folds it into the batch state —
-/// the single scoring rule `observe` and the scan-all reference share.
-fn score_and_update(
-    id: AuditId,
-    prepared: &PreparedAudit,
-    state: &mut AuditBatchState,
-    contrib: &QueryContribution,
-    q: &LoggedQuery,
-) -> QueryScore {
-    let n = prepared.view.len().max(1);
-    let relevant: BTreeSet<BaseColumn> = prepared
-        .spec
-        .all_columns()
-        .iter()
-        .filter_map(|c| prepared.scope.base_of_column(c))
-        .collect();
+/// Scores one contribution against its audit: the closeness value and the
+/// facts and columns behind it.
+fn score(id: AuditId, prepared: &PreparedAudit, contrib: &QueryContribution) -> QueryScore {
+    let n = prepared.view.len().max(1) as f64;
+    let relevant = &prepared.terms.relevant;
     let covered_relevant_cols: Vec<BaseColumn> =
-        contrib.covered_columns.intersection(&relevant).cloned().collect();
+        contrib.covered_columns.intersection(relevant).cloned().collect();
     let covered_relevant = covered_relevant_cols.len() as f64;
     let fact_coverage = if prepared.model.indispensable {
-        contrib.touched_facts.len() as f64 / n as f64
+        contrib.touched_facts.len() as f64 / n
     } else {
-        contrib.exposed.len() as f64 / n as f64
+        contrib.exposed.len() as f64 / n
     };
     let column_coverage =
         if relevant.is_empty() { 0.0 } else { covered_relevant / relevant.len() as f64 };
-
-    state.touched.extend(contrib.touched_facts.iter().copied());
-    state.covered.extend(contrib.covered_columns.iter().cloned());
-    for (fi, cols) in &contrib.exposed {
-        state.exposure.entry(*fi).or_default().extend(cols.iter().cloned());
-    }
-    // Pure tuple-witnesses (no audited column) still feed the batch state
-    // above but are not listed as contributors.
-    if covered_relevant > 0.0 || !contrib.exposed.is_empty() {
-        state.contributing.push(q.id);
-    }
-
     QueryScore {
         audit: id,
         fact_coverage,

@@ -1,4 +1,5 @@
-//! Granule accessibility and batch suspicion evaluation (paper §3.2).
+//! Granule accessibility and batch suspicion evaluation (paper §3.2):
+//! contribution derivation plus the one fold and the one count.
 //!
 //! **INDISPENSABLE = true.** A granule carries tuple ids; it is accessed
 //! when every one of its tuples is *indispensable* (Definition 2) to some
@@ -17,29 +18,46 @@
 //! computed row-by-row per query and unioned across the batch — a sound
 //! over-approximation of value disclosure.
 //!
-//! Neither mode materializes granules: for each scheme the evaluator counts
-//! qualifying facts `m` and adds `C(m, k)` accessed granules.
+//! Every reader runs the same three steps. [`derive_contribution`] reads
+//! one query's lineage — live from a [`SharedQueryState`], or stored in a
+//! [`crate::index::QueryFootprint`] — into a [`QueryContribution`];
+//! [`AuditBatchState::fold`] unions it into the running batch state; and
+//! [`AuditBatchState::verdict`] counts. Neither mode materializes granules:
+//! for each scheme the count takes the qualifying facts `m` and adds
+//! `C(m, k)` accessed granules.
 
 use audex_sql::Ident;
-use audex_storage::{Database, JoinStrategy, ResultSet, Tid};
+use audex_storage::{Database, JoinStrategy, ResultSet, Row, Tid, Value};
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::sync::Arc;
 
-use crate::attrspec::ResolvedColumn;
+use crate::attrspec::{ResolvedColumn, Scheme};
 use crate::candidate::{accessed_base_columns, BaseColumn};
-use crate::catalog::AuditScope;
+use crate::catalog::{base_name, AuditScope, ScopeEntry};
 use crate::error::AuditError;
 use crate::governor::{AuditPhase, Governor};
 use crate::granule::{binomial, GranuleModel};
 use crate::target::TargetView;
 use audex_log::{LoggedQuery, QueryId};
 
+/// One satisfying combination's tids, grouped by base table.
+pub(crate) type Combo = BTreeMap<Ident, BTreeSet<Tid>>;
+
+/// One result row's plain-column cells, in base identity.
+pub(crate) type ValueRow = Vec<(BaseColumn, Value)>;
+
+/// The tid-tuples a query's satisfying combinations cover over one
+/// base-table signature.
+pub(crate) type CoveredTuples = Arc<HashSet<Vec<Tid>>>;
+
 /// What one query contributed to the audit.
 #[derive(Debug, Clone, Default)]
 pub struct QueryContribution {
     /// Facts of `U` this query shares an indispensable tuple with.
     pub touched_facts: BTreeSet<usize>,
-    /// Base columns the query accessed (`C_Q`, wildcard-expanded).
+    /// Base columns the query accessed (`C_Q`, wildcard-expanded); left
+    /// empty when the query touched and exposed nothing, since no fold or
+    /// score reads an empty contribution.
     pub covered_columns: BTreeSet<BaseColumn>,
     /// Value mode: per fact, the audit columns whose values the query's
     /// result set revealed.
@@ -81,18 +99,191 @@ pub struct BatchVerdict {
     pub skipped: Vec<QueryId>,
 }
 
+/// The granule count of a batch state: per scheme, then summed.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Verdict {
+    /// Accessed-granule count per scheme (parallel to the model's schemes).
+    pub per_scheme_accessed: Vec<u128>,
+    /// Accessed granules over all schemes.
+    pub accessed: u128,
+    /// Total granule count (`|schemes| · C(n, k)`).
+    pub total: u128,
+    /// `accessed / total`, 0 when there are no granules.
+    pub degree: f64,
+}
+
+impl Verdict {
+    /// Whether any granule was accessed.
+    pub fn suspicious(&self) -> bool {
+        self.accessed > 0
+    }
+
+    /// The batch verdict this count makes with the batch's query lists.
+    pub(crate) fn with_queries(
+        self,
+        contributing: Vec<QueryId>,
+        witnesses: Vec<QueryId>,
+        skipped: Vec<QueryId>,
+    ) -> BatchVerdict {
+        BatchVerdict {
+            suspicious: self.suspicious(),
+            accessed_granules: self.accessed,
+            total_granules: self.total,
+            degree: self.degree,
+            per_scheme_accessed: self.per_scheme_accessed,
+            contributing,
+            witnesses,
+            skipped,
+        }
+    }
+}
+
+/// The audit-side terms every fold and count reads, built once per audit
+/// from its scope, granule model and (pinned) target view.
+#[derive(Debug, Clone)]
+pub struct AuditTerms {
+    pub(crate) indispensable: bool,
+    /// Columns any scheme needs, in base identity.
+    pub(crate) relevant: BTreeSet<BaseColumn>,
+    /// (base, column) → audit view columns with that identity (value mode
+    /// only; empty for an indispensable audit, which never reads it).
+    pub(crate) columns_by_base: BTreeMap<BaseColumn, Vec<ResolvedColumn>>,
+    /// Each scheme with its columns in base identity (`None` when one of
+    /// them has no base in the audit's scope, so it can never be covered).
+    schemes: Vec<(Scheme, Option<Vec<BaseColumn>>)>,
+    /// Facts per granule.
+    k: u64,
+    /// Total granule count.
+    total: u128,
+}
+
+impl AuditTerms {
+    /// Derives the terms of one audit.
+    pub(crate) fn new(scope: &AuditScope, model: &GranuleModel, view: &TargetView) -> AuditTerms {
+        let mut columns_by_base: BTreeMap<BaseColumn, Vec<ResolvedColumn>> = BTreeMap::new();
+        if !model.indispensable {
+            for c in &view.columns {
+                if let Some(bc) = scope.base_of_column(c) {
+                    columns_by_base.entry(bc).or_default().push(c.clone());
+                }
+            }
+        }
+        AuditTerms {
+            indispensable: model.indispensable,
+            relevant: model
+                .spec
+                .schemes()
+                .iter()
+                .flatten()
+                .filter_map(|c| scope.base_of_column(c))
+                .collect(),
+            columns_by_base,
+            schemes: model
+                .spec
+                .schemes()
+                .iter()
+                .map(|s| (s.clone(), s.iter().map(|c| scope.base_of_column(c)).collect()))
+                .collect(),
+            k: model.k_for(view.len()),
+            total: model.count(view.len()),
+        }
+    }
+}
+
+/// How [`AuditBatchState::fold`] classified a query.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Role {
+    /// It shared a tuple (or exposed a value) and accessed an audited
+    /// column: listed in `contributing`.
+    Contributor,
+    /// It shared an indispensable tuple without accessing any audited
+    /// column: its tuples count, but it is not listed.
+    Witness,
+    /// It contributed nothing; the state is unchanged.
+    Nothing,
+}
+
+/// Running batch state for one audit: the unions every verdict counts.
+///
+/// Public (with public fields) so a durability layer can checkpoint the
+/// auditor's accumulated state and restore it without re-observing every
+/// logged query.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct AuditBatchState {
+    /// Fact indices of `U` touched so far (indispensable mode).
+    pub touched: BTreeSet<usize>,
+    /// Accessed columns seen so far, in base identity.
+    pub covered: BTreeSet<BaseColumn>,
+    /// Per-fact exposed audit columns (value mode).
+    pub exposure: BTreeMap<usize, BTreeSet<ResolvedColumn>>,
+    /// Ids that contributed, in arrival order.
+    pub contributing: Vec<QueryId>,
+}
+
+impl AuditBatchState {
+    /// Folds query `id`'s contribution into the batch. Only queries sharing
+    /// a tuple or exposing a value join Definition 4's `Q'`; of those, pure
+    /// tuple-witnesses (no audited column accessed) feed the unions but are
+    /// not listed as contributors.
+    pub fn fold(&mut self, terms: &AuditTerms, id: QueryId, c: &QueryContribution) -> Role {
+        if c.is_empty() {
+            return Role::Nothing;
+        }
+        self.touched.extend(c.touched_facts.iter().copied());
+        self.covered.extend(c.covered_columns.iter().cloned());
+        for (fi, cols) in &c.exposed {
+            self.exposure.entry(*fi).or_default().extend(cols.iter().cloned());
+        }
+        if !c.exposed.is_empty() || !c.covered_columns.is_disjoint(&terms.relevant) {
+            self.contributing.push(id);
+            Role::Contributor
+        } else {
+            Role::Witness
+        }
+    }
+
+    /// Counts the accessed granules: per scheme, the facts the batch
+    /// touched (when it also covered every scheme column) or exposed on
+    /// every scheme column, choose `k`.
+    pub fn verdict(&self, terms: &AuditTerms) -> Verdict {
+        let mut per_scheme_accessed = Vec::with_capacity(terms.schemes.len());
+        let mut accessed: u128 = 0;
+        for (scheme, bases) in &terms.schemes {
+            let m = if terms.indispensable {
+                let covered =
+                    bases.as_ref().is_some_and(|b| b.iter().all(|bc| self.covered.contains(bc)));
+                if covered {
+                    self.touched.len()
+                } else {
+                    0
+                }
+            } else {
+                self.exposure.values().filter(|cols| scheme.is_subset(cols)).count()
+            };
+            let a = binomial(m as u64, terms.k);
+            per_scheme_accessed.push(a);
+            accessed = accessed.saturating_add(a);
+        }
+        let total = terms.total;
+        Verdict {
+            per_scheme_accessed,
+            accessed,
+            total,
+            degree: if total == 0 { 0.0 } else { accessed as f64 / total as f64 },
+        }
+    }
+}
+
 /// Evaluates batches of logged queries against one prepared audit.
 pub struct BatchEvaluator<'a> {
     db: &'a Database,
     scope: &'a AuditScope,
-    model: &'a GranuleModel,
     view: &'a TargetView,
     strategy: JoinStrategy,
     governor: Governor,
     /// Worker threads for batch evaluation; `1` = sequential.
     parallelism: usize,
-    /// (base, column) → audit view columns with that identity.
-    columns_by_base: BTreeMap<BaseColumn, Vec<ResolvedColumn>>,
+    terms: AuditTerms,
 }
 
 impl<'a> BatchEvaluator<'a> {
@@ -104,21 +295,14 @@ impl<'a> BatchEvaluator<'a> {
         view: &'a TargetView,
         strategy: JoinStrategy,
     ) -> Self {
-        let mut columns_by_base: BTreeMap<BaseColumn, Vec<ResolvedColumn>> = BTreeMap::new();
-        for c in &view.columns {
-            if let Some(bc) = scope.base_of_column(c) {
-                columns_by_base.entry(bc).or_default().push(c.clone());
-            }
-        }
         BatchEvaluator {
             db,
             scope,
-            model,
             view,
             strategy,
             governor: Governor::unlimited(),
             parallelism: 1,
-            columns_by_base,
+            terms: AuditTerms::new(scope, model, view),
         }
     }
 
@@ -136,14 +320,6 @@ impl<'a> BatchEvaluator<'a> {
         self
     }
 
-    /// Computes one query's contribution, or `None` when the query cannot be
-    /// evaluated (unknown tables, execution error). Governor trips are
-    /// swallowed here too; use [`BatchEvaluator::try_contribution`] to see
-    /// them.
-    pub fn contribution(&self, q: &LoggedQuery) -> Option<QueryContribution> {
-        self.try_contribution(q).ok().flatten()
-    }
-
     /// Computes one query's contribution. `Ok(None)` means the query itself
     /// cannot be evaluated (unknown tables, execution error) and should be
     /// reported as skipped; `Err` means the governor stopped the audit.
@@ -151,149 +327,17 @@ impl<'a> BatchEvaluator<'a> {
         &self,
         q: &LoggedQuery,
     ) -> Result<Option<QueryContribution>, AuditError> {
-        let mut shared = SharedQueryState::new(self.db, q);
-        // A throwaway probe cache: building a map costs exactly what the
-        // old per-fact loop cost, so the one-shot path never regresses.
-        let mut probe = FactProbeCache::default();
-        self.try_contribution_with(q, &mut shared, &mut probe)
-    }
-
-    /// [`BatchEvaluator::try_contribution`] with the per-query work hoisted
-    /// into `shared`: scope resolution, accessed columns, the executed
-    /// result set, and its lineage products are computed once and reused by
-    /// every audit evaluated against the same logged query. `probe` is the
-    /// audit-side dual — fact-probe maps that outlive the query and are
-    /// reused across every observation of the same audit. Produces
-    /// bit-identical contributions to the unshared path.
-    pub(crate) fn try_contribution_with(
-        &self,
-        q: &LoggedQuery,
-        shared: &mut SharedQueryState,
-        probe: &mut FactProbeCache,
-    ) -> Result<Option<QueryContribution>, AuditError> {
-        let Some(q_scope) = shared.q_scope.as_ref() else {
-            return Ok(None);
-        };
-        let mut contrib = QueryContribution {
-            covered_columns: shared.covered_columns.clone(),
-            ..Default::default()
-        };
-
-        // Which audit bindings can this query's tables witness?
-        let q_bases: BTreeSet<&Ident> = q_scope.entries().iter().map(|e| &e.base).collect();
-        let shared_bindings: Vec<Ident> = self
-            .scope
-            .entries()
-            .iter()
-            .filter(|e| q_bases.contains(&e.base))
-            .map(|e| e.binding.clone())
-            .collect();
-        if shared_bindings.is_empty() {
-            return Ok(Some(contrib)); // no tuples can be shared
-        }
-        let out_cols =
-            if self.model.indispensable { Vec::new() } else { self.out_cols(q, q_scope) };
-
-        let Some(exec) = shared.ensure_exec(self.db, q, self.strategy) else {
-            return Ok(None);
-        };
-
-        if self.model.indispensable {
-            let binding_refs: Vec<&Ident> = shared_bindings.iter().collect();
-            // The covered tid-tuples over the shared bindings, so each fact
-            // probes a hash set in O(1); shared across audits with the same
-            // base-table signature.
-            let covered = exec.covered_for(&binding_refs, self.scope);
-            // The dual map — fact tid-tuple → fact indices — is built once
-            // per (audit, signature) and cached in `probe`, so matching
-            // costs O(min(|covered|, |distinct fact tuples|)) instead of a
-            // per-fact scan on every query. Joining the smaller side keeps
-            // the innocent full-scan class (huge `covered`, small view)
-            // and the point-query class (tiny `covered`) both cheap.
-            let map = probe.map_for(&binding_refs, self.scope, self.view, &self.governor)?;
-            if covered.len() <= map.len() {
-                for key in covered.iter() {
-                    self.governor.tick(AuditPhase::Suspicion)?;
-                    if let Some(fis) = map.get(key) {
-                        contrib.touched_facts.extend(fis.iter().copied());
-                    }
-                }
-            } else {
-                for (key, fis) in map.iter() {
-                    self.governor.tick(AuditPhase::Suspicion)?;
-                    if covered.contains(key) {
-                        contrib.touched_facts.extend(fis.iter().copied());
-                    }
-                }
-            }
-        } else if !out_cols.is_empty() {
-            for row in &exec.rs.rows {
-                self.governor.bump(AuditPhase::Suspicion, self.view.facts.len() as u64)?;
-                for (fi, fact) in self.view.facts.iter().enumerate() {
-                    for (ri, audit_cols) in &out_cols {
-                        for ac in audit_cols {
-                            if let Some(fv) = fact.values.get(ac) {
-                                if row.get(*ri).is_some_and(|v| v.grouping_eq(fv)) {
-                                    contrib.exposed.entry(fi).or_default().insert(ac.clone());
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Ok(Some(contrib))
-    }
-
-    /// Value mode: resolves plain-column projection items to audit view
-    /// columns (position `ri` in the result row → audited columns).
-    fn out_cols(&self, q: &LoggedQuery, q_scope: &AuditScope) -> Vec<(usize, Vec<ResolvedColumn>)> {
-        let mut out_cols: Vec<(usize, Vec<ResolvedColumn>)> = Vec::new();
-        let mut out_idx = 0usize;
-        for item in &q.query().projection {
-            match item {
-                audex_sql::ast::SelectItem::Wildcard => {
-                    for e in q_scope.entries() {
-                        for (name, _) in e.schema.iter() {
-                            self.push_out_col(&mut out_cols, out_idx, e, name);
-                            out_idx += 1;
-                        }
-                    }
-                }
-                audex_sql::ast::SelectItem::QualifiedWildcard(t) => {
-                    if let Some(e) = q_scope.entry(t) {
-                        for (name, _) in e.schema.iter() {
-                            self.push_out_col(&mut out_cols, out_idx, e, name);
-                            out_idx += 1;
-                        }
-                    }
-                }
-                audex_sql::ast::SelectItem::Expr { expr, .. } => {
-                    if let audex_sql::ast::Expr::Column(c) = expr {
-                        if let Ok(rc) = crate::attrspec::ColumnResolver::resolve(q_scope, c) {
-                            if let Some(e) = q_scope.entry(&rc.table) {
-                                self.push_out_col(&mut out_cols, out_idx, e, &rc.column);
-                            }
-                        }
-                    }
-                    out_idx += 1;
-                }
-            }
-        }
-        out_cols
-    }
-
-    fn push_out_col(
-        &self,
-        out_cols: &mut Vec<(usize, Vec<ResolvedColumn>)>,
-        idx: usize,
-        entry: &crate::catalog::ScopeEntry,
-        column: &Ident,
-    ) {
-        let key = (entry.base.clone(), column.clone());
-        if let Some(audit_cols) = self.columns_by_base.get(&key) {
-            out_cols.push((idx, audit_cols.clone()));
-        }
+        derive_contribution(
+            &mut SharedQueryState::new(self.db, q, self.strategy),
+            self.scope,
+            self.view,
+            &self.terms,
+            // A throwaway probe cache: building a map costs exactly what a
+            // per-fact scan would, so the one-shot path never regresses.
+            &mut FactProbeCache::default(),
+            &self.governor,
+            AuditPhase::Suspicion,
+        )
     }
 
     /// Per-query contributions for a whole batch, in batch order.
@@ -328,154 +372,222 @@ impl<'a> BatchEvaluator<'a> {
 
     /// Evaluates a whole batch.
     pub fn evaluate(&self, batch: &[Arc<LoggedQuery>]) -> Result<BatchVerdict, AuditError> {
-        let mut contributing = Vec::new();
+        let mut state = AuditBatchState::default();
         let mut witnesses = Vec::new();
         let mut skipped = Vec::new();
-        let mut touched_union: BTreeSet<usize> = BTreeSet::new();
-        let mut covered_union: BTreeSet<BaseColumn> = BTreeSet::new();
-        let mut exposure: BTreeMap<usize, BTreeSet<ResolvedColumn>> = BTreeMap::new();
-
-        // Columns any scheme needs, in base identity.
-        let relevant: BTreeSet<BaseColumn> = self
-            .model
-            .spec
-            .all_columns()
-            .iter()
-            .filter_map(|c| self.scope.base_of_column(c))
-            .collect();
-
         for (id, contribution) in self.batch_contributions(batch)? {
             match contribution {
                 None => skipped.push(id),
                 Some(c) => {
-                    if self.model.indispensable {
-                        if !c.touched_facts.is_empty() {
-                            // Only queries sharing an indispensable tuple
-                            // join Q' (Definition 4's subset).
-                            touched_union.extend(c.touched_facts.iter().copied());
-                            covered_union.extend(c.covered_columns.iter().cloned());
-                            if c.covered_columns.iter().any(|bc| relevant.contains(bc)) {
-                                contributing.push(id);
-                            } else {
-                                witnesses.push(id);
-                            }
-                        }
-                    } else if !c.exposed.is_empty() {
-                        for (fi, cols) in &c.exposed {
-                            exposure.entry(*fi).or_default().extend(cols.iter().cloned());
-                        }
-                        contributing.push(id);
+                    if state.fold(&self.terms, id, &c) == Role::Witness {
+                        witnesses.push(id);
                     }
                 }
             }
         }
-
-        let n = self.view.len();
-        let k = self.model.k_for(n);
-        let mut per_scheme_accessed = Vec::with_capacity(self.model.spec.len());
-        let mut accessed: u128 = 0;
-        for scheme in self.model.spec.schemes() {
-            let m = if self.model.indispensable {
-                let covered = scheme.iter().all(|c| {
-                    self.scope.base_of_column(c).is_some_and(|bc| covered_union.contains(&bc))
-                });
-                if covered {
-                    touched_union.len() as u64
-                } else {
-                    0
-                }
-            } else {
-                self.view
-                    .facts
-                    .iter()
-                    .enumerate()
-                    .filter(|(fi, _)| {
-                        exposure.get(fi).is_some_and(|cols| scheme.iter().all(|c| cols.contains(c)))
-                    })
-                    .count() as u64
-            };
-            let a = binomial(m, k);
-            per_scheme_accessed.push(a);
-            accessed = accessed.saturating_add(a);
-        }
-
-        let total = self.model.count(n);
-        Ok(BatchVerdict {
-            suspicious: accessed > 0,
-            accessed_granules: accessed,
-            total_granules: total,
-            degree: if total == 0 { 0.0 } else { (accessed as f64) / (total as f64) },
-            per_scheme_accessed,
-            contributing,
-            witnesses,
-            skipped,
-        })
+        Ok(state.verdict(&self.terms).with_queries(state.contributing, witnesses, skipped))
     }
 }
 
+/// One query's lineage as [`derive_contribution`] reads it. The live path
+/// ([`SharedQueryState`]) executes on first need; the touch index reads a
+/// stored [`crate::index::QueryFootprint`]. Either way the tids and values
+/// are the query's own, at its own execution instant.
+pub(crate) trait LineageView {
+    /// The query's base tables and accessed columns (`C_Q`, base identity);
+    /// `None` when its scope does not resolve.
+    fn scope(&self) -> Option<(&BTreeSet<Ident>, &BTreeSet<BaseColumn>)>;
+
+    /// The tid-tuples the query's satisfying combinations cover over the
+    /// base tables of `shared` (in order); `None` when the query cannot be
+    /// executed.
+    fn covered_by(&mut self, shared: &[&ScopeEntry]) -> Option<CoveredTuples>;
+
+    /// The plain-column cells of every result row; `None` when the query
+    /// cannot be executed.
+    fn value_rows(&mut self) -> Option<&[ValueRow]>;
+}
+
+/// Derives one query's contribution to one audit from the query's lineage —
+/// the one derivation the batch evaluator, the online auditor and the touch
+/// index share. `Ok(None)` means the query cannot be evaluated and is
+/// reported skipped; steps are charged to `phase`.
+///
+/// Indispensable mode joins the query's covered tid-tuples against the
+/// audit's fact-probe map (see [`FactProbeCache`]) over the smaller side,
+/// one step per probe, so the innocent full-scan class (huge covered set,
+/// small view) and the point-query class (tiny covered set) are both cheap.
+/// Value mode matches every audited output cell against every fact, one
+/// step per fact per row.
+pub(crate) fn derive_contribution(
+    lineage: &mut impl LineageView,
+    scope: &AuditScope,
+    view: &TargetView,
+    terms: &AuditTerms,
+    probe: &mut FactProbeCache,
+    governor: &Governor,
+    phase: AuditPhase,
+) -> Result<Option<QueryContribution>, AuditError> {
+    let Some((bases, _)) = lineage.scope() else {
+        return Ok(None);
+    };
+    let mut contrib = QueryContribution::default();
+    // The audit bindings this query's tables can witness. Their base
+    // tables, in order, are the signature both sides' caches are keyed by.
+    let shared: Vec<&ScopeEntry> =
+        scope.entries().iter().filter(|e| bases.contains(&e.base)).collect();
+    if shared.is_empty() {
+        return Ok(Some(contrib)); // no tuples can be shared
+    }
+
+    if terms.indispensable {
+        let Some(covered) = lineage.covered_by(&shared) else {
+            return Ok(None);
+        };
+        let map = probe.map_for(&shared, view, governor, phase)?;
+        if covered.len() <= map.len() {
+            for key in covered.iter() {
+                governor.tick(phase)?;
+                if let Some(fis) = map.get(key) {
+                    contrib.touched_facts.extend(fis.iter().copied());
+                }
+            }
+        } else {
+            for (key, fis) in map.iter() {
+                governor.tick(phase)?;
+                if covered.contains(key) {
+                    contrib.touched_facts.extend(fis.iter().copied());
+                }
+            }
+        }
+    } else {
+        let Some(rows) = lineage.value_rows() else {
+            return Ok(None);
+        };
+        // Every row carries the same cells (one projection), so the audited
+        // ones are found once.
+        let audited: Vec<(usize, &[ResolvedColumn])> = rows.first().map_or_else(Vec::new, |row| {
+            row.iter()
+                .enumerate()
+                .filter_map(|(i, (bc, _))| terms.columns_by_base.get(bc).map(|c| (i, &c[..])))
+                .collect()
+        });
+        if !audited.is_empty() {
+            for row in rows {
+                governor.bump(phase, view.facts.len() as u64)?;
+                for &(i, audit_cols) in &audited {
+                    let Some((_, v)) = row.get(i) else { continue };
+                    for (fi, fact) in view.facts.iter().enumerate() {
+                        for ac in audit_cols {
+                            if fact.values.get(ac).is_some_and(|fv| v.grouping_eq(fv)) {
+                                contrib.exposed.entry(fi).or_default().insert(ac.clone());
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    if !contrib.is_empty() {
+        contrib.covered_columns = lineage.scope().map(|(_, c)| c.clone()).unwrap_or_default();
+    }
+    Ok(Some(contrib))
+}
+
 /// Per-query artifacts shared across every audit evaluated against the
-/// same logged query: the resolved scope, the accessed base columns, and
-/// (lazily, on first need) the executed result set with its
-/// lineage-derived products. The dispatch-indexed `observe` threads one
-/// `SharedQueryState` through the whole shortlist so the expensive
-/// `db.at(..).query_with(..)` runs once per query instead of once per
-/// audit.
-pub(crate) struct SharedQueryState {
-    q_scope: Option<AuditScope>,
-    covered_columns: BTreeSet<BaseColumn>,
+/// same logged query: what the resolved scope says before the query runs
+/// (base tables, accessed columns, plain-column outputs), and — on first
+/// need — one execution at the query's own instant with its lineage
+/// grouped by base table. The dispatch-indexed `observe` threads one
+/// `SharedQueryState` through the probe, the whole shortlist and the
+/// footprint, so the query runs once instead of once per audit, and each
+/// product is computed at most once.
+pub(crate) struct SharedQueryState<'a> {
+    db: &'a Database,
+    q: &'a LoggedQuery,
+    strategy: JoinStrategy,
+    /// `None` when the query's scope does not resolve (every audit then
+    /// reports it skipped, and the touch index skips it).
+    header: Option<QueryHeader>,
     exec: ExecState,
+}
+
+/// What a query's resolved scope says about it without running it.
+pub(crate) struct QueryHeader {
+    /// Base tables in the query's `FROM`.
+    pub(crate) bases: BTreeSet<Ident>,
+    /// Accessed columns (`C_Q`), wildcard-expanded, in base identity.
+    covered: BTreeSet<BaseColumn>,
+    /// Plain-column projections: result position → base column — the
+    /// positions value-mode exposure can flow through.
+    pub(crate) out_columns: Vec<(usize, BaseColumn)>,
 }
 
 enum ExecState {
     NotRun,
     Failed,
-    Ready(ExecShared),
+    Ready(Executed),
 }
 
-/// The executed result set plus caches over its lineage.
-pub(crate) struct ExecShared {
-    rs: ResultSet,
-    /// Per satisfying combination: tids grouped by base table (lazy).
-    combos: Option<Vec<BTreeMap<Ident, BTreeSet<Tid>>>>,
-    /// Covered tid-tuples keyed by the ordered base-table signature of the
-    /// shared bindings — audits with the same signature cover the same
-    /// tuples regardless of binding names.
-    covered_cache: HashMap<Vec<Ident>, Arc<HashSet<Vec<Tid>>>>,
+/// One execution's products.
+struct Executed {
+    rows: Vec<Row>,
+    /// Per satisfying combination: tids grouped by base table.
+    combos: Vec<Combo>,
+    /// Plain-column cells per result row (lazy).
+    value_rows: Option<Vec<ValueRow>>,
+    /// Covered tid-tuples per base-table signature — audits with the same
+    /// signature cover the same tuples regardless of binding names. A query
+    /// meets a handful of signatures, so a scan beats hashing the names.
+    covered_cache: Vec<(Vec<Ident>, CoveredTuples)>,
 }
 
-impl SharedQueryState {
-    /// Resolves the query's scope and accessed columns once.
-    pub(crate) fn new(db: &Database, q: &LoggedQuery) -> SharedQueryState {
-        match AuditScope::resolve(db, &q.query().from) {
-            Ok(qs) => {
-                let covered_columns = accessed_base_columns(q, &qs);
-                SharedQueryState { q_scope: Some(qs), covered_columns, exec: ExecState::NotRun }
-            }
-            Err(_) => SharedQueryState {
-                q_scope: None,
-                covered_columns: BTreeSet::new(),
-                exec: ExecState::NotRun,
-            },
-        }
-    }
-
-    /// The query's resolved scope; `None` when resolution failed (every
-    /// audit then reports the query as skipped).
-    pub(crate) fn q_scope(&self) -> Option<&AuditScope> {
-        self.q_scope.as_ref()
-    }
-
-    fn ensure_exec(
-        &mut self,
-        db: &Database,
-        q: &LoggedQuery,
-        strategy: JoinStrategy,
-    ) -> Option<&mut ExecShared> {
-        if matches!(self.exec, ExecState::NotRun) {
-            self.exec = match db.at(q.executed_at).query_with(q.query(), strategy) {
-                Ok(rs) => {
-                    ExecState::Ready(ExecShared { rs, combos: None, covered_cache: HashMap::new() })
+impl Executed {
+    fn new(rs: ResultSet) -> Executed {
+        // The one grouping of lineage by base table.
+        let combos = rs
+            .lineage
+            .iter()
+            .map(|lin| {
+                let mut combo = Combo::new();
+                for e in lin {
+                    combo.entry(base_name(&e.table)).or_default().insert(e.tid);
                 }
+                combo
+            })
+            .collect();
+        Executed { rows: rs.rows, combos, value_rows: None, covered_cache: Vec::new() }
+    }
+}
+
+impl<'a> SharedQueryState<'a> {
+    /// Resolves the query's scope, accessed columns and outputs once.
+    pub(crate) fn new(
+        db: &'a Database,
+        q: &'a LoggedQuery,
+        strategy: JoinStrategy,
+    ) -> SharedQueryState<'a> {
+        let header = AuditScope::resolve(db, &q.query().from).ok().map(|s| QueryHeader {
+            bases: s.entries().iter().map(|e| e.base.clone()).collect(),
+            covered: accessed_base_columns(q, &s),
+            out_columns: output_columns(q, &s),
+        });
+        SharedQueryState { db, q, strategy, header, exec: ExecState::NotRun }
+    }
+
+    /// The query's header; `None` when its scope does not resolve.
+    pub(crate) fn header(&self) -> Option<&QueryHeader> {
+        self.header.as_ref()
+    }
+
+    /// Runs the query on first need; `None` when its scope does not resolve
+    /// or execution fails.
+    fn executed(&mut self) -> Option<&mut Executed> {
+        self.header.as_ref()?;
+        if matches!(self.exec, ExecState::NotRun) {
+            let at = self.db.at(self.q.executed_at);
+            self.exec = match at.query_with(self.q.query(), self.strategy) {
+                Ok(rs) => ExecState::Ready(Executed::new(rs)),
                 Err(_) => ExecState::Failed,
             };
         }
@@ -485,83 +597,69 @@ impl SharedQueryState {
         }
     }
 
-    /// The query's [`crate::index::QueryFootprint`] built from the shared
-    /// execution (running it first if nothing forced it yet), so the
-    /// streaming service maintains its touch index without a second
-    /// `query_with` call. `None` exactly when `TouchIndex`'s own footprint
-    /// path would skip the query: unresolvable scope or failed execution.
-    pub(crate) fn footprint(
-        &mut self,
-        db: &Database,
-        q: &LoggedQuery,
-        strategy: JoinStrategy,
-    ) -> Option<crate::index::QueryFootprint> {
-        self.q_scope.as_ref()?;
-        self.ensure_exec(db, q, strategy)?;
-        let (Some(q_scope), ExecState::Ready(exec)) = (&self.q_scope, &self.exec) else {
-            return None;
-        };
-        Some(crate::index::footprint_from_parts(q, q_scope, &exec.rs))
+    /// The executed lineage, grouped by base table, for the dispatch
+    /// index's tuple-id layer. `None` when the query cannot be executed.
+    pub(crate) fn combos(&mut self) -> Option<&[Combo]> {
+        self.executed().map(|e| &e.combos[..])
     }
 
-    /// Distinct `(base table, Tid)` pairs across the executed lineage, for
-    /// the dispatch index's tuple-id layer. `None` when execution fails.
-    pub(crate) fn lineage_pairs(
-        &mut self,
-        db: &Database,
-        q: &LoggedQuery,
-        strategy: JoinStrategy,
-    ) -> Option<BTreeSet<(Ident, Tid)>> {
-        let exec = self.ensure_exec(db, q, strategy)?;
-        let mut pairs = BTreeSet::new();
-        for lin in &exec.rs.lineage {
-            for e in lin {
-                pairs.insert((crate::catalog::base_name(&e.table), e.tid));
-            }
-        }
-        Some(pairs)
+    /// The query's [`crate::index::QueryFootprint`] — the same view the
+    /// scoring read, running the query first if nothing forced it yet, so
+    /// the streaming service maintains its touch index without a second
+    /// execution. `None` exactly when the query is skipped: unresolvable
+    /// scope or failed execution.
+    pub(crate) fn into_footprint(mut self) -> Option<crate::index::QueryFootprint> {
+        self.value_rows()?;
+        let (Some(h), ExecState::Ready(e)) = (self.header, self.exec) else {
+            return None;
+        };
+        Some(crate::index::QueryFootprint {
+            id: self.q.id,
+            bases: h.bases,
+            covered: h.covered,
+            combos: e.combos,
+            value_rows: e.value_rows.unwrap_or_default(),
+        })
     }
 }
 
-impl ExecShared {
-    fn combos(&mut self) -> &[BTreeMap<Ident, BTreeSet<Tid>>] {
-        if self.combos.is_none() {
-            self.combos = Some(
-                self.rs
-                    .lineage
-                    .iter()
-                    .map(|lin| {
-                        let mut m: BTreeMap<Ident, BTreeSet<Tid>> = BTreeMap::new();
-                        for e in lin {
-                            let base = crate::catalog::base_name(&e.table);
-                            m.entry(base).or_default().insert(e.tid);
-                        }
-                        m
-                    })
-                    .collect(),
-            );
-        }
-        self.combos.as_deref().unwrap_or(&[])
+impl LineageView for SharedQueryState<'_> {
+    fn scope(&self) -> Option<(&BTreeSet<Ident>, &BTreeSet<BaseColumn>)> {
+        self.header.as_ref().map(|h| (&h.bases, &h.covered))
     }
 
-    fn covered_for(
-        &mut self,
-        shared_bindings: &[&Ident],
-        scope: &AuditScope,
-    ) -> Arc<HashSet<Vec<Tid>>> {
-        let key: Option<Vec<Ident>> =
-            shared_bindings.iter().map(|b| scope.entry(b).map(|e| e.base.clone())).collect();
-        let Some(key) = key else {
-            // A binding outside the scope covers nothing (the unshared path
-            // cleared every combination in that case).
-            return Arc::new(HashSet::new());
-        };
-        if let Some(c) = self.covered_cache.get(&key) {
-            return Arc::clone(c);
+    fn covered_by(&mut self, shared: &[&ScopeEntry]) -> Option<CoveredTuples> {
+        let e = self.executed()?;
+        if let Some((_, c)) = e.covered_cache.iter().find(|(sig, _)| same_signature(sig, shared)) {
+            return Some(Arc::clone(c));
         }
-        let covered = Arc::new(covered_tuples_by_base(self.combos(), &key));
-        self.covered_cache.insert(key, Arc::clone(&covered));
-        covered
+        let covered = Arc::new(covered_tuples_by_base(&e.combos, shared));
+        e.covered_cache.push((signature(shared), Arc::clone(&covered)));
+        Some(covered)
+    }
+
+    fn value_rows(&mut self) -> Option<&[ValueRow]> {
+        self.executed()?;
+        let (Some(h), ExecState::Ready(e)) = (&self.header, &mut self.exec) else {
+            return None;
+        };
+        let rows = e.value_rows.get_or_insert_with(|| {
+            e.rows
+                .iter()
+                .map(|row| {
+                    // Sized exactly: a footprint keeps its rows for as long
+                    // as the touch index lives.
+                    let mut cells = ValueRow::with_capacity(h.out_columns.len());
+                    for (ri, bc) in &h.out_columns {
+                        if let Some(v) = row.get(*ri) {
+                            cells.push((bc.clone(), v.clone()));
+                        }
+                    }
+                    cells
+                })
+                .collect()
+        });
+        Some(rows)
     }
 }
 
@@ -569,96 +667,94 @@ impl ExecShared {
 /// bindings, the map from a fact's tid-tuple (in binding order) to the
 /// indices of facts carrying that tuple. The audit's target view is pinned
 /// at preparation time, so a built map never invalidates; it is the dual of
-/// [`ExecShared::covered_for`]'s query-side cache — keyed the same way, so
-/// a cached map always matches the covered set it is joined against.
+/// the covered tid-tuples a [`LineageView`] hands out — keyed the same way,
+/// so a map always matches the covered set it is joined against.
 ///
-/// Before this cache, every observation of an audit scanned all of `U`'s
-/// facts; with it, the scan happens once per signature and each later query
-/// joins the smaller of its covered set and the map. This is what cuts the
-/// cost of innocent full-scan queries that legitimately shortlist every
-/// audit (the ROADMAP item-1 follow-up).
-/// Fact indices grouped by their tid-tuple under one binding signature.
-pub(crate) type FactProbeMap = Arc<HashMap<Vec<Tid>, Vec<usize>>>;
-
+/// The online auditor keeps one per audit for as long as the audit is
+/// registered: the fact scan happens once per signature and each later
+/// query joins the smaller of its covered set and the map, which is what
+/// keeps innocent full-scan queries that legitimately shortlist every audit
+/// cheap. The batch evaluator and the touch index build a fresh one per
+/// query and per evaluation respectively.
 #[derive(Default)]
 pub(crate) struct FactProbeCache {
-    by_sig: HashMap<Vec<Ident>, FactProbeMap>,
+    /// One map per base-table signature (an audit has a handful).
+    by_sig: Vec<(Vec<Ident>, FactProbeMap)>,
     /// Maps built (one per new signature).
     pub(crate) builds: u64,
     /// Probes answered from an already-built map.
     pub(crate) hits: u64,
 }
 
+/// Fact indices grouped by their tid-tuple under one binding signature.
+pub(crate) type FactProbeMap = Arc<HashMap<Vec<Tid>, Vec<usize>>>;
+
 impl FactProbeCache {
-    /// The probe map for one binding signature, building it on first use.
-    /// The build ticks the governor once per fact — exactly what the scan
-    /// it replaces cost — so step budgets keep their meaning.
-    pub(crate) fn map_for(
+    /// The probe map for the `shared` bindings, building it on first use at
+    /// one step per fact.
+    fn map_for(
         &mut self,
-        shared_bindings: &[&Ident],
-        scope: &AuditScope,
+        shared: &[&ScopeEntry],
         view: &TargetView,
         governor: &Governor,
+        phase: AuditPhase,
     ) -> Result<FactProbeMap, AuditError> {
-        let key: Option<Vec<Ident>> =
-            shared_bindings.iter().map(|b| scope.entry(b).map(|e| e.base.clone())).collect();
-        let Some(key) = key else {
-            // A binding outside the scope covers nothing; mirror
-            // `covered_for`, which returns the empty set for this key.
-            return Ok(Arc::new(HashMap::new()));
-        };
-        if let Some(m) = self.by_sig.get(&key) {
+        if let Some((_, m)) = self.by_sig.iter().find(|(sig, _)| same_signature(sig, shared)) {
             self.hits += 1;
             return Ok(Arc::clone(m));
         }
         let mut map: HashMap<Vec<Tid>, Vec<usize>> = HashMap::new();
         for (fi, fact) in view.facts.iter().enumerate() {
-            governor.tick(AuditPhase::Suspicion)?;
-            let tuple: Option<Vec<Tid>> = shared_bindings.iter().map(|b| fact.tid_of(b)).collect();
+            governor.tick(phase)?;
+            let tuple: Option<Vec<Tid>> = shared.iter().map(|e| fact.tid_of(&e.binding)).collect();
             if let Some(tuple) = tuple {
                 map.entry(tuple).or_default().push(fi);
             }
         }
         self.builds += 1;
         let map = Arc::new(map);
-        self.by_sig.insert(key, Arc::clone(&map));
+        self.by_sig.push((signature(shared), Arc::clone(&map)));
         Ok(map)
     }
 }
 
-/// Base columns the query's *projection* resolves to, in base identity —
-/// the positions value-mode exposure can possibly flow through. Mirrors
-/// [`BatchEvaluator::out_cols`] without an audit in hand, so the dispatch
-/// index can prune value-mode audits whose view columns are disjoint.
-pub(crate) fn projected_base_columns(
-    q: &LoggedQuery,
-    q_scope: &AuditScope,
-) -> BTreeSet<BaseColumn> {
-    let mut out = BTreeSet::new();
+/// The base-table signature of shared audit bindings: their base tables in
+/// binding order.
+fn signature(shared: &[&ScopeEntry]) -> Vec<Ident> {
+    shared.iter().map(|e| e.base.clone()).collect()
+}
+
+fn same_signature(sig: &[Ident], shared: &[&ScopeEntry]) -> bool {
+    sig.iter().eq(shared.iter().map(|e| &e.base))
+}
+
+/// The query's plain-column projections: result position → base column —
+/// the one walk of a projection, and the positions value-mode exposure can
+/// flow through. Wildcards expand against the scope's schemas; a computed
+/// expression takes a position but names no column.
+fn output_columns(q: &LoggedQuery, q_scope: &AuditScope) -> Vec<(usize, BaseColumn)> {
+    use audex_sql::ast::{Expr, SelectItem};
+    let mut out = Vec::new();
+    let mut idx = 0usize;
     for item in &q.query().projection {
-        match item {
-            audex_sql::ast::SelectItem::Wildcard => {
-                for e in q_scope.entries() {
-                    for (name, _) in e.schema.iter() {
-                        out.insert((e.base.clone(), name.clone()));
+        let expanded: Vec<&ScopeEntry> = match item {
+            SelectItem::Wildcard => q_scope.entries().iter().collect(),
+            SelectItem::QualifiedWildcard(t) => q_scope.entry(t).into_iter().collect(),
+            SelectItem::Expr { expr, .. } => {
+                if let Expr::Column(c) = expr {
+                    let rc = crate::attrspec::ColumnResolver::resolve(q_scope, c);
+                    if let Some(bc) = rc.ok().and_then(|rc| q_scope.base_of_column(&rc)) {
+                        out.push((idx, bc));
                     }
                 }
+                idx += 1;
+                continue;
             }
-            audex_sql::ast::SelectItem::QualifiedWildcard(t) => {
-                if let Some(e) = q_scope.entry(t) {
-                    for (name, _) in e.schema.iter() {
-                        out.insert((e.base.clone(), name.clone()));
-                    }
-                }
-            }
-            audex_sql::ast::SelectItem::Expr { expr, .. } => {
-                if let audex_sql::ast::Expr::Column(c) = expr {
-                    if let Ok(rc) = crate::attrspec::ColumnResolver::resolve(q_scope, c) {
-                        if let Some(e) = q_scope.entry(&rc.table) {
-                            out.insert((e.base.clone(), rc.column.clone()));
-                        }
-                    }
-                }
+        };
+        for e in expanded {
+            for (name, _) in e.schema.iter() {
+                out.push((idx, (e.base.clone(), name.clone())));
+                idx += 1;
             }
         }
     }
@@ -666,37 +762,23 @@ pub(crate) fn projected_base_columns(
 }
 
 /// Expands satisfying combinations into the set of tid-tuples they cover
-/// over `shared_bindings` (in binding order). A fact is touched by a query
-/// iff its own tid-tuple over those bindings is in this set — the hash-set
-/// form of "some combination witnesses every shared binding's tuple".
+/// over the base tables of `shared` (in binding order). A fact is touched
+/// by a query iff its own tid-tuple over the shared bindings is in this set
+/// — the hash-set form of "some combination witnesses every shared
+/// binding's tuple".
 ///
 /// Combination tid-sets are per base table and almost always singletons, so
 /// the per-combination cartesian product is tiny; the set as a whole is
 /// bounded by the query's satisfying combinations.
-pub(crate) fn covered_tuples(
-    combos: &[BTreeMap<Ident, BTreeSet<Tid>>],
-    shared_bindings: &[&Ident],
-    scope: &AuditScope,
-) -> HashSet<Vec<Tid>> {
-    let bases: Option<Vec<Ident>> =
-        shared_bindings.iter().map(|b| scope.entry(b).map(|e| e.base.clone())).collect();
-    match bases {
-        Some(bases) => covered_tuples_by_base(combos, &bases),
-        // A binding outside the scope clears every combination.
-        None => HashSet::new(),
-    }
-}
-
-/// [`covered_tuples`] with the bindings already mapped to base tables.
 pub(crate) fn covered_tuples_by_base(
-    combos: &[BTreeMap<Ident, BTreeSet<Tid>>],
-    bases: &[Ident],
+    combos: &[Combo],
+    shared: &[&ScopeEntry],
 ) -> HashSet<Vec<Tid>> {
     let mut covered: HashSet<Vec<Tid>> = HashSet::new();
     for combo in combos {
-        let mut tuples: Vec<Vec<Tid>> = vec![Vec::with_capacity(bases.len())];
-        for base in bases {
-            let Some(tids) = combo.get(base) else {
+        let mut tuples: Vec<Vec<Tid>> = vec![Vec::with_capacity(shared.len())];
+        for e in shared {
+            let Some(tids) = combo.get(&e.base) else {
                 tuples.clear();
                 break;
             };
@@ -838,6 +920,23 @@ mod tests {
     }
 
     #[test]
+    fn witnesses_count_tuples_but_are_not_listed() {
+        // q1 shares Jane's and Lucy's tuples but accesses no audited column:
+        // a witness. Its tuples still join Definition 4's Q', so with q2
+        // (Jane's disease) the batch reaches Lucy too.
+        let s = setup("AUDIT disease FROM Patients WHERE zipcode='120016'");
+        let q1 = logged("SELECT pid FROM Patients WHERE zipcode='120016'", 1);
+        let q2 = logged("SELECT disease FROM Patients WHERE pid='p1'", 2);
+        let v = verdict(&s, std::slice::from_ref(&q1));
+        assert!(!v.suspicious);
+        assert_eq!((v.contributing, v.witnesses), (vec![], vec![QueryId(1)]));
+        assert_eq!(verdict(&s, std::slice::from_ref(&q2)).accessed_granules, 1);
+        let v = verdict(&s, &[q1, q2]);
+        assert_eq!((v.contributing, v.witnesses), (vec![QueryId(2)], vec![QueryId(1)]));
+        assert_eq!(v.accessed_granules, 2);
+    }
+
+    #[test]
     fn threshold_counts_facts() {
         // Two facts share zipcode 120016. THRESHOLD 2 needs both touched.
         let s = setup("THRESHOLD 2 AUDIT name FROM Patients WHERE zipcode='120016'");
@@ -961,7 +1060,8 @@ mod tests {
     fn touched_facts_match_expected_tids() {
         let s = setup("AUDIT name FROM Patients WHERE zipcode='120016'");
         let ev = BatchEvaluator::new(&s.db, &s.scope, &s.model, &s.view, JoinStrategy::Auto);
-        let c = ev.contribution(&logged("SELECT name FROM Patients WHERE pid='p1'", 1)).unwrap();
+        let q = logged("SELECT name FROM Patients WHERE pid='p1'", 1);
+        let c = ev.try_contribution(&q).unwrap().unwrap();
         assert_eq!(c.touched_facts.len(), 1);
         let fi = *c.touched_facts.iter().next().unwrap();
         assert_eq!(s.view.facts[fi].tids[0].1, Tid(1));

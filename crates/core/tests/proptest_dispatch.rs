@@ -2,12 +2,13 @@
 //! `observe` must be byte-identical to the `observe_scan_all` reference —
 //! same `QueryScore`s in the same order, same batch states — under random
 //! register/unregister interleavings, its shared-execution footprint must
-//! equal the one `TouchIndex::extend` computes on its own, and the batch
+//! equal the one `TouchIndex::extend` computes on its own, the batch
 //! engine's reports over the same scenarios are identical at 1 and 4
-//! threads.
+//! threads, and the online, batch and touch-index verdicts agree.
 
 use audex_core::{
-    AuditEngine, EngineOptions, Governor, OnlineAuditor, PreparedAudit, QueryScore, TouchIndex,
+    AuditEngine, BatchEvaluator, EngineOptions, Governor, OnlineAuditor, PreparedAudit, QueryScore,
+    TouchIndex,
 };
 use audex_log::{AccessContext, LoggedQuery, QueryId, QueryLog};
 use audex_sql::ast::{TimeInterval, TsSpec, TypeName};
@@ -257,5 +258,55 @@ proptest! {
         let a = seq.audit_many(&exprs, Timestamp(100_000)).unwrap();
         let b = par.audit_many(&exprs, Timestamp(100_000)).unwrap();
         prop_assert_eq!(format!("{a:?}"), format!("{b:?}"), "byte-identical reports");
+    }
+
+    /// Three readers of one batch agree: with every template registered
+    /// before the first query, the online auditor's running degree, flag and
+    /// contributor list equal `BatchEvaluator::evaluate` over the queries
+    /// each audit admits, and that verdict equals `TouchIndex::evaluate`
+    /// over an index of the same queries. Template 5 against query 0 yields
+    /// a witness; templates 1, 3 and 6 are value mode.
+    #[test]
+    fn online_batch_and_index_verdicts_agree(s in scenario_strategy()) {
+        let db = build_db(&s.rows);
+        let mut online = OnlineAuditor::new(Vec::new());
+        let prepared: Vec<PreparedAudit> =
+            (0..AUDITS.len() as u8).map(|t| prepare(&db, t)).collect();
+        let ids: Vec<_> = prepared.iter().map(|p| online.push(p.clone())).collect();
+
+        let queries: Vec<Arc<LoggedQuery>> = s
+            .ops
+            .iter()
+            .enumerate()
+            .filter_map(|(i, op)| match op {
+                Op::Query(t) => Some(logged(i, &query_text(*t, i))),
+                _ => None,
+            })
+            .collect();
+        for q in &queries {
+            online.observe(&db, q).unwrap();
+        }
+        let index = TouchIndex::build(&db, &queries, JoinStrategy::Auto);
+
+        for (id, p) in ids.into_iter().zip(&prepared) {
+            let admitted: Vec<Arc<LoggedQuery>> =
+                queries.iter().filter(|q| p.filter.admits(q)).cloned().collect();
+            let admitted_ids = admitted.iter().map(|q| q.id).collect();
+            let batch = BatchEvaluator::new(&db, &p.scope, &p.model, &p.view, JoinStrategy::Auto)
+                .evaluate(&admitted)
+                .unwrap();
+            let indexed = index.evaluate(p, &admitted_ids).unwrap();
+
+            prop_assert!(online.degree(id) == batch.degree, "degree of audit {}", id);
+            prop_assert_eq!(online.is_suspicious(id), batch.suspicious, "flag of audit {}", id);
+            prop_assert_eq!(online.contributing(id), &batch.contributing[..], "audit {}", id);
+
+            prop_assert_eq!(indexed.accessed_granules, batch.accessed_granules, "audit {}", id);
+            prop_assert_eq!(&indexed.per_scheme_accessed, &batch.per_scheme_accessed);
+            prop_assert!(indexed.degree == batch.degree, "index degree of audit {}", id);
+            prop_assert_eq!(&indexed.contributing, &batch.contributing, "audit {}", id);
+            prop_assert_eq!(&indexed.witnesses, &batch.witnesses, "audit {}", id);
+            prop_assert_eq!(&indexed.skipped, &batch.skipped, "audit {}", id);
+        }
     }
 }

@@ -895,11 +895,12 @@ impl ServiceCore {
     }
 
     fn verdict_event(&self, id: AuditId) -> Json {
+        let verdict = self.online.verdict(id).unwrap_or_default();
         obj([
             ("event", Json::from("verdict")),
             ("audit", Json::Str(self.audit_name(id))),
-            ("suspicious", Json::Bool(self.online.is_suspicious(id))),
-            ("degree", Json::Float(self.online.degree(id))),
+            ("suspicious", Json::Bool(verdict.suspicious())),
+            ("degree", Json::Float(verdict.degree)),
             (
                 "contributing",
                 Json::Arr(

@@ -55,10 +55,11 @@ pub struct EngineOptions {
     /// top-level audit call. Unlimited by default.
     pub limits: ResourceLimits,
     /// Worker threads for batch suspicion evaluation, per-query refinement,
-    /// touch-index construction, and [`AuditEngine::audit_many`] fan-out.
-    /// Defaults to the machine's available cores; `1` runs the exact
-    /// sequential path (no threads are spawned). Reports are byte-identical
-    /// at every setting.
+    /// and the per-expression fan-out of [`AuditEngine::audit_many`] — the
+    /// three sites that reach ≥1.5× at 2 threads (DESIGN §8). Defaults to
+    /// the machine's available cores, which on Linux honours `taskset` and
+    /// cgroup CPU limits; `1` runs the exact sequential path (no threads
+    /// are spawned). Reports are byte-identical at every setting.
     pub parallelism: usize,
 }
 
@@ -354,12 +355,11 @@ impl<'a> AuditEngine<'a> {
         let governor = self.governor();
         let entries = self.log.snapshot();
         let span = self.obs.phase("index-build");
-        let index = match crate::index::TouchIndex::build_governed_with(
+        let index = match crate::index::TouchIndex::build_governed(
             self.db,
             &entries,
             self.options.strategy,
             &governor,
-            self.options.parallelism,
         ) {
             Ok(index) => index,
             Err(e) => {
@@ -369,19 +369,12 @@ impl<'a> AuditEngine<'a> {
         };
         drop(span);
         // Fan the expressions out across workers; results come back in
-        // expression order either way, and each entry keeps its own Result
-        // (failure isolation is unchanged by the parallel path).
-        let out = if self.options.parallelism <= 1 || exprs.len() <= 1 {
-            let mut out = Vec::with_capacity(exprs.len());
-            for expr in exprs {
-                out.push(self.audit_one_indexed(&index, &entries, expr, now, &governor));
-            }
-            out
-        } else {
-            crate::parallel::par_map(self.options.parallelism, exprs, |_, expr| {
-                self.audit_one_indexed(&index, &entries, expr, now, &governor)
-            })
-        };
+        // expression order, and each entry keeps its own Result (failure
+        // isolation is unchanged by the parallel path). At `parallelism` 1
+        // `par_map` is the plain loop.
+        let out = crate::parallel::par_map(self.options.parallelism, exprs, |_, expr| {
+            self.audit_one_indexed(&index, &entries, expr, now, &governor)
+        });
         self.obs.record_governor_steps(governor.steps());
         Ok(out)
     }

@@ -100,8 +100,7 @@ impl TouchIndex {
         queries: &[Arc<LoggedQuery>],
         strategy: JoinStrategy,
     ) -> TouchIndex {
-        Self::build_governed(db, queries, strategy, &Governor::unlimited())
-            .unwrap_or_else(|_| TouchIndex { footprints: Vec::new(), skipped: Vec::new() })
+        Self::build_governed(db, queries, strategy, &Governor::unlimited()).unwrap_or_default()
     }
 
     /// Builds the index under a [`Governor`]: one step per query executed.
@@ -111,54 +110,17 @@ impl TouchIndex {
         strategy: JoinStrategy,
         governor: &Governor,
     ) -> Result<TouchIndex, AuditError> {
-        Self::build_governed_with(db, queries, strategy, governor, 1)
-    }
-
-    /// [`TouchIndex::build_governed`] with an explicit worker-thread count.
-    /// Queries execute read-only against the (shared, internally
-    /// synchronized) snapshot cache; footprints are folded back in log
-    /// order, so the index is identical for every `parallelism`.
-    pub fn build_governed_with(
-        db: &Database,
-        queries: &[Arc<LoggedQuery>],
-        strategy: JoinStrategy,
-        governor: &Governor,
-        parallelism: usize,
-    ) -> Result<TouchIndex, AuditError> {
-        let mut footprints = Vec::with_capacity(queries.len());
-        let mut skipped = Vec::new();
-        if parallelism <= 1 || queries.len() <= 1 {
-            for q in queries {
-                governor.tick(AuditPhase::Indexing)?;
-                match Self::footprint(db, q, strategy) {
-                    Some(fp) => footprints.push(fp),
-                    None => skipped.push(q.id),
-                }
-            }
-        } else {
-            let results = crate::parallel::par_map(parallelism, queries, |_, q| {
-                governor.tick(AuditPhase::Indexing)?;
-                Ok((q.id, Self::footprint(db, q, strategy)))
-            })
-            .into_iter()
-            .collect::<Result<Vec<_>, AuditError>>()?;
-            for (id, fp) in results {
-                match fp {
-                    Some(fp) => footprints.push(fp),
-                    None => skipped.push(id),
-                }
-            }
+        let mut index = TouchIndex::new();
+        for q in queries {
+            index.extend(db, q, strategy, governor)?;
         }
-        Ok(TouchIndex { footprints, skipped })
+        Ok(index)
     }
 
     /// Appends one query's footprint to the index — the incremental
-    /// maintenance step of the streaming service. Extending an index
-    /// query-by-query in log order produces an index identical to
-    /// [`TouchIndex::build_governed_with`] over the same slice at any
-    /// `parallelism` (footprints are folded back in log order there too;
-    /// asserted by the differential proptest in `tests/touch_index.rs`).
-    /// One governor step per query executed, like the batch build.
+    /// maintenance step of the streaming service, and the loop
+    /// [`TouchIndex::build_governed`] runs over a whole slice. One governor
+    /// step per query executed.
     pub fn extend(
         &mut self,
         db: &Database,

@@ -17,7 +17,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 ///
 /// With `parallelism <= 1` (or fewer than two items) this degenerates to a
 /// plain sequential loop on the calling thread — no threads are spawned, so
-/// `--threads 1` is exactly today's sequential path, not an emulation of it.
+/// `parallelism` 1 is exactly the sequential path, not an emulation of it.
 /// A panicking worker is resumed on the caller via
 /// [`std::panic::resume_unwind`], preserving the panic payload.
 pub fn par_map<T, R, F>(parallelism: usize, items: &[T], f: F) -> Vec<R>
@@ -67,7 +67,9 @@ where
 }
 
 /// The default worker count: the machine's available parallelism, or 1 when
-/// that cannot be determined.
+/// that cannot be determined. On Linux it honours the process's CPU affinity
+/// mask (`taskset`) and cgroup CPU quota, which is how an operator bounds the
+/// worker count.
 pub fn default_parallelism() -> usize {
     std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1)
 }

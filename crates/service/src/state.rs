@@ -59,10 +59,6 @@ pub struct ServiceConfig {
     pub limits: ResourceLimits,
     /// Join strategy for footprints and scoring.
     pub strategy: JoinStrategy,
-    /// Worker threads for the fleet's `audit --all-tenants` fan-out
-    /// (`ShardMap::audit_all`). Nothing under [`ServiceCore::handle`]
-    /// reads it: one core serves one request at a time.
-    pub parallelism: usize,
     /// With a journal attached: write a checkpoint once this many records
     /// accumulate past the newest one. `None` disables auto-checkpointing
     /// (explicit `compact` still works).

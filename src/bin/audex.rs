@@ -105,13 +105,12 @@ USAGE:
               (--expr <TEXT> | --expr-file <FILE>)
               [--now <TIMESTAMP>] [--csv] [--per-query] [--no-static-filter]
               [--granules <LIMIT>] [--stats] [--deadline-ms <MS>]
-              [--max-steps <N>] [--max-granules <N>] [--threads <N>]
-              [--trace-out <FILE>]
+              [--max-steps <N>] [--max-granules <N>] [--trace-out <FILE>]
   audex serve (--stdio | --listen <ADDR>) [--db <FILE>] [--log <FILE>]
               [--data-dir <DIR>] [--default-tenant <NAME>]
               [--fsync always|batch|never]
               [--checkpoint-every <N>] [--deadline-ms <MS>] [--max-steps <N>]
-              [--max-granules <N>] [--threads <N>] [--metrics-every <N>]
+              [--max-granules <N>] [--metrics-every <N>]
               [--trace-out <FILE>] [--max-conns <N>] [--sub-queue <N>]
               [--conn-idle-ms <MS>] [--max-line-bytes <N>] [--drain-ms <MS>]
               [--net-fault <SPEC>]...
@@ -157,12 +156,8 @@ OPTIONS:
                  steps), the snapshot-cache hit statistics, live/dead tuple
                  version counts, and (with --data-dir) the dispatch-index
                  counters from replay
-  --threads N    (audit) worker threads for the evaluation phases (default:
-                 available cores; 1 = sequential). Reports are identical at
-                 any setting. (serve) worker threads for the
-                 {\"cmd\":\"audit\",\"all_tenants\":true} fan-out, one tenant
-                 per worker; nothing else in the daemon reads it — each
-                 tenant serves one request at a time.
+  The evaluation phases use one worker per available core (bound it with
+  taskset or a cgroup CPU limit); reports are identical at any core count.
 
 TELEMETRY:
   --trace-out FILE   record every pipeline phase (parse, recovery replay,
@@ -290,31 +285,25 @@ where
     }
 }
 
-/// The options `audit` and `serve` share: governor limits (per run, or
-/// per request as admission control; unlimited by default) and the
-/// worker-thread count.
-#[derive(Default)]
-struct RunLimits {
-    limits: audex::core::ResourceLimits,
-    threads: Option<usize>,
-}
-
-impl RunLimits {
-    /// Consumes `args[*i]` and its value when it is one of these flags.
-    fn take(&mut self, args: &[String], i: &mut usize) -> Result<bool, String> {
-        let flag = args[*i].as_str();
-        match flag {
-            "--deadline-ms" => {
-                let ms = take_parsed(args, i, flag, None)?;
-                self.limits.deadline = Some(std::time::Duration::from_millis(ms));
-            }
-            "--max-steps" => self.limits.max_steps = Some(take_parsed(args, i, flag, None)?),
-            "--max-granules" => self.limits.granule_limit = Some(take_parsed(args, i, flag, None)?),
-            "--threads" => self.threads = Some(take_parsed(args, i, flag, Some(1))?),
-            _ => return Ok(false),
+/// The options `audit` and `serve` share: governor limits (per run, or per
+/// request as admission control; unlimited by default). Consumes `args[*i]`
+/// and its value when it is one of these flags.
+fn take_limit(
+    limits: &mut audex::core::ResourceLimits,
+    args: &[String],
+    i: &mut usize,
+) -> Result<bool, String> {
+    let flag = args[*i].as_str();
+    match flag {
+        "--deadline-ms" => {
+            let ms = take_parsed(args, i, flag, None)?;
+            limits.deadline = Some(std::time::Duration::from_millis(ms));
         }
-        Ok(true)
+        "--max-steps" => limits.max_steps = Some(take_parsed(args, i, flag, None)?),
+        "--max-granules" => limits.granule_limit = Some(take_parsed(args, i, flag, None)?),
+        _ => return Ok(false),
     }
+    Ok(true)
 }
 
 fn cmd_audit(args: &[String]) -> Result<(), String> {
@@ -328,7 +317,7 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
     let mut static_filter = true;
     let mut granules: Option<u64> = None;
     let mut stats = false;
-    let mut run = RunLimits::default();
+    let mut limits = audex::core::ResourceLimits::default();
     let mut trace_out: Option<String> = None;
 
     let mut i = 0;
@@ -361,13 +350,12 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
                 granules =
                     Some(text.parse().map_err(|_| format!("invalid --granules limit {text:?}"))?);
             }
-            _ if run.take(args, &mut i)? => {}
+            _ if take_limit(&mut limits, args, &mut i)? => {}
             other => return Err(format!("unknown option {other:?}")),
         }
         i += 1;
     }
 
-    let RunLimits { limits, threads } = run;
     let expr_text = expr_text.ok_or("--expr or --expr-file is required")?;
 
     // Telemetry is armed only when asked for: with no --trace-out both
@@ -419,7 +407,6 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
             static_filter,
             mode: if per_query { AuditMode::PerQuery } else { AuditMode::Batch },
             limits,
-            parallelism: threads.unwrap_or_else(audex::core::default_parallelism),
             ..Default::default()
         },
     )
@@ -532,7 +519,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     let mut checkpoint_every: Option<u64> = None;
     let mut metrics_every: Option<u64> = None;
     let mut trace_out: Option<String> = None;
-    let mut run = RunLimits::default();
+    let mut limits = audex::core::ResourceLimits::default();
     let mut redact_log = false;
     let mut review_budget: Option<u64> = None;
     let mut front = FrontDoorConfig::default();
@@ -591,7 +578,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
             "--review-budget" => {
                 review_budget = Some(take_parsed(args, &mut i, "--review-budget", Some(1))?)
             }
-            _ if run.take(args, &mut i)? => {}
+            _ if take_limit(&mut limits, args, &mut i)? => {}
             other => return Err(format!("unknown option {other:?}")),
         }
         i += 1;
@@ -614,8 +601,7 @@ fn cmd_serve(args: &[String]) -> Result<(), String> {
     }
 
     let config = ServiceConfig {
-        limits: run.limits,
-        parallelism: run.threads.unwrap_or_else(audex::core::default_parallelism),
+        limits,
         checkpoint_every,
         metrics_every,
         redact_log,

@@ -455,30 +455,27 @@ fn binary_reports_structured_errors_with_nonzero_exit() {
     std::fs::remove_file(log).ok();
 }
 
-/// The engine- and dispatch-selection flags are gone, not hidden: `serve`
-/// refuses each by name.
+/// The engine- and dispatch-selection flags and the worker-thread count are
+/// gone, not hidden: `serve` and `audit` refuse each by name.
 #[test]
 fn serve_rejects_the_removed_mode_flags_by_name() {
-    for args in [
-        &["serve", "--stdio", "--storage", "replay"][..],
-        &["serve", "--stdio", "--scan-all-audits"],
+    for (args, flag) in [
+        (&["serve", "--stdio", "--storage", "replay"][..], "--storage"),
+        (&["serve", "--stdio", "--scan-all-audits"], "--scan-all-audits"),
+        (&["serve", "--stdio", "--threads", "2"], "--threads"),
+        (&["audit", "--threads", "2"], "--threads"),
     ] {
         let (status, _, stderr) = run_audex(args);
         assert_eq!(status.code(), Some(1), "{args:?}: {stderr}");
-        assert!(stderr.contains(&format!("unknown option {:?}", args[2])), "{stderr}");
+        assert!(stderr.contains(&format!("unknown option {flag:?}")), "{stderr}");
     }
 }
 
 #[test]
 fn serve_reports_bad_option_values_verbatim() {
-    for (args, message) in [
-        (&["serve", "--stdio", "--max-conns", "x"][..], "invalid --max-conns value \"x\""),
-        (&["serve", "--stdio", "--threads", "0"], "--threads must be at least 1"),
-    ] {
-        let (status, _, stderr) = run_audex(args);
-        assert_eq!(status.code(), Some(1), "{args:?}: {stderr}");
-        assert_eq!(stderr, format!("error: {message}\n"), "{args:?}");
-    }
+    let (status, _, stderr) = run_audex(&["serve", "--stdio", "--max-conns", "x"]);
+    assert_eq!(status.code(), Some(1), "{stderr}");
+    assert_eq!(stderr, "error: invalid --max-conns value \"x\"\n");
 }
 
 // ---------------------------------------------------------------------------

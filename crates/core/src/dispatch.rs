@@ -58,7 +58,7 @@ use audex_storage::Tid;
 
 use crate::candidate::BaseColumn;
 use crate::engine::PreparedAudit;
-use crate::suspicion::Combo;
+use crate::lineage::Lineage;
 
 /// Stable identity of a registered audit.
 ///
@@ -505,12 +505,14 @@ impl DispatchIndex {
 
     /// Layer 7: keeps only indispensable-mode candidates holding at least
     /// one of the lineage's `(base, Tid)` pairs among their fact tuples.
-    pub(crate) fn narrow_by_tids(&self, indisp: &mut SlotSet, combos: &[Combo]) {
+    pub(crate) fn narrow_by_tids(&self, indisp: &mut SlotSet, lineage: &Lineage) {
         let mut hits = SlotSet::default();
-        for (base, tids) in combos.iter().flatten() {
+        for (k, base) in lineage.keys().iter().enumerate() {
             let Some(by_base) = self.by_tid.get(base) else { continue };
-            for s in tids.iter().filter_map(|t| by_base.get(t)) {
-                hits.union(s);
+            for c in 0..lineage.combinations() {
+                for s in lineage.run(c, k).iter().filter_map(|t| by_base.get(t)) {
+                    hits.union(s);
+                }
             }
         }
         indisp.intersect(&hits);

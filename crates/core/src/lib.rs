@@ -56,6 +56,7 @@ pub mod governor;
 pub mod granule;
 pub mod index;
 pub mod limits;
+pub mod lineage;
 pub mod notions;
 pub mod parallel;
 pub mod rank;
@@ -75,6 +76,7 @@ pub use error::AuditError;
 pub use governor::{AuditPhase, Governor, ResourceLimits};
 pub use granule::{binomial, Granule, GranuleModel};
 pub use index::{QueryFootprint, TouchIndex};
+pub use lineage::FootprintBuilder;
 pub use parallel::{default_parallelism, par_map};
 pub use rank::{OnlineAuditor, QueryScore, ScoreEvidence};
 pub use static_batch::{static_semantic_bound, static_weak_syntactic, StaticVerdict};

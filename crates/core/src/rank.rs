@@ -27,7 +27,7 @@ use crate::error::AuditError;
 use crate::governor::{AuditPhase, Governor};
 use crate::index::QueryFootprint;
 use crate::suspicion::{
-    derive_contribution, AuditBatchState, FactProbeCache, QueryContribution, Role,
+    derive_contribution, AuditBatchState, FactProbeCache, LineageView, QueryContribution, Role,
     SharedQueryState, Verdict,
 };
 use audex_log::{LoggedQuery, QueryId};
@@ -311,8 +311,8 @@ impl OnlineAuditor {
         let projected = header.out_columns.iter().map(|(_, bc)| bc);
         let mut probe = self.dispatch.probe(q, &header.bases, projected);
         if !probe.indisp.is_empty() {
-            match shared.combos() {
-                Some(combos) => self.dispatch.narrow_by_tids(&mut probe.indisp, combos),
+            match shared.lineage() {
+                Some(lineage) => self.dispatch.narrow_by_tids(&mut probe.indisp, lineage),
                 None => {
                     // Execution failed: every shortlisted audit would skip.
                     probe.indisp.clear();

@@ -301,6 +301,7 @@ pub fn prune_old(dir: &Path) -> Result<Vec<PathBuf>> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use audex_core::FootprintBuilder;
     use audex_sql::{Ident, Timestamp};
     use std::collections::BTreeSet;
 
@@ -328,13 +329,13 @@ mod tests {
                     now: Timestamp(2),
                 },
             ],
-            footprints: vec![QueryFootprint {
-                id: QueryId(0),
-                bases: [Ident::new("t")].into(),
-                covered: [(Ident::new("t"), Ident::new("a"))].into(),
-                combos: vec![],
-                value_rows: vec![],
-            }],
+            footprints: vec![FootprintBuilder::new(
+                QueryId(0),
+                [Ident::new("t")].into(),
+                [(Ident::new("t"), Ident::new("a"))].into(),
+            )
+            .finish()
+            .unwrap()],
             skipped: vec![QueryId(9)],
             audit_states: vec![AuditBatchState {
                 touched: [0usize].into(),

@@ -8,7 +8,7 @@
 //! panicking, because the input is whatever survived a crash.
 
 use audex_core::attrspec::ResolvedColumn;
-use audex_core::{AuditBatchState, AuditId, BaseColumn, QueryFootprint};
+use audex_core::{AuditBatchState, AuditId, BaseColumn, FootprintBuilder, QueryFootprint};
 use audex_log::QueryId;
 use audex_sql::ast::TypeName;
 use audex_sql::{Ident, Timestamp};
@@ -513,7 +513,9 @@ fn get_resolved_column(d: &mut Dec<'_>) -> Result<ResolvedColumn, DecodeError> {
     Ok(ResolvedColumn { table, column })
 }
 
-/// Encodes a touch-index [`QueryFootprint`].
+/// Encodes a touch-index [`QueryFootprint`]: per combination its
+/// (base, tids) groups in base order, per row its (base column, value)
+/// cells.
 pub fn put_footprint(e: &mut Enc, fp: &QueryFootprint) {
     e.u64(fp.id.0);
     e.u32(fp.bases.len() as u32);
@@ -524,10 +526,11 @@ pub fn put_footprint(e: &mut Enc, fp: &QueryFootprint) {
     for bc in &fp.covered {
         put_base_column(e, bc);
     }
-    e.u32(fp.combos.len() as u32);
-    for combo in &fp.combos {
-        e.u32(combo.len() as u32);
-        for (table, tids) in combo {
+    e.u32(fp.combination_count() as u32);
+    for c in 0..fp.combination_count() {
+        let runs = fp.combination(c);
+        e.u32(runs.clone().count() as u32);
+        for (table, tids) in runs {
             put_ident(e, table);
             e.u32(tids.len() as u32);
             for t in tids {
@@ -535,51 +538,55 @@ pub fn put_footprint(e: &mut Enc, fp: &QueryFootprint) {
             }
         }
     }
-    e.u32(fp.value_rows.len() as u32);
-    for row in &fp.value_rows {
+    let rows = fp.value_rows();
+    e.u32(rows.len() as u32);
+    for row in rows {
         e.u32(row.len() as u32);
-        for (bc, v) in row {
+        for (bc, v) in fp.value_columns().iter().zip(row) {
             put_base_column(e, bc);
             put_value(e, v);
         }
     }
 }
 
-/// Decodes a touch-index [`QueryFootprint`]. Sets and maps are collected
-/// through `FromIterator` (not element-wise `insert`) so the standard
-/// library's bulk tree construction kicks in — checkpoints hold one
-/// footprint per logged query, making this the hottest decoder.
+/// Decodes a touch-index [`QueryFootprint`] into its flat form. Sets are
+/// collected through `FromIterator` (not element-wise `insert`) so the
+/// standard library's bulk tree construction kicks in — checkpoints hold
+/// one footprint per logged query, making this the hottest decoder. A
+/// grouping the flat form cannot hold (see [`FootprintBuilder`]) is a
+/// decode error, so decode → encode reproduces the bytes.
 pub fn get_footprint(d: &mut Dec<'_>) -> Result<QueryFootprint, DecodeError> {
     let id = QueryId(d.u64()?);
     let bases = (0..d.seq_len()?).map(|_| get_ident(d)).collect::<Result<BTreeSet<_>, _>>()?;
     let covered =
         (0..d.seq_len()?).map(|_| get_base_column(d)).collect::<Result<BTreeSet<_>, _>>()?;
-    let n_combos = d.seq_len()?;
-    let mut combos = Vec::with_capacity(n_combos);
-    for _ in 0..n_combos {
-        let m = (0..d.seq_len()?)
-            .map(|_| {
-                let table = get_ident(d)?;
-                let tids =
-                    (0..d.seq_len()?).map(|_| Ok(Tid(d.u64()?))).collect::<Result<_, _>>()?;
-                Ok::<_, DecodeError>((table, tids))
-            })
-            .collect::<Result<BTreeMap<Ident, BTreeSet<Tid>>, _>>()?;
-        combos.push(m);
+    let mut b = FootprintBuilder::new(id, bases, covered);
+    let mut tids = Vec::new();
+    for _ in 0..d.seq_len()? {
+        b.combination();
+        for _ in 0..d.seq_len()? {
+            let table = get_ident(d)?;
+            tids.clear();
+            for _ in 0..d.seq_len()? {
+                tids.push(Tid(d.u64()?));
+            }
+            b.run(table, &tids).map_err(shape_at(d.offset()))?;
+        }
     }
-    let n_rows = d.seq_len()?;
-    let mut value_rows = Vec::with_capacity(n_rows);
-    for _ in 0..n_rows {
-        let n = d.seq_len()?;
-        let mut row = Vec::with_capacity(n);
-        for _ in 0..n {
+    for _ in 0..d.seq_len()? {
+        b.row().map_err(shape_at(d.offset()))?;
+        for _ in 0..d.seq_len()? {
             let bc = get_base_column(d)?;
             let v = get_value(d)?;
-            row.push((bc, v));
+            b.cell(bc, v).map_err(shape_at(d.offset()))?;
         }
-        value_rows.push(row);
     }
-    Ok(QueryFootprint { id, bases, covered, combos, value_rows })
+    b.finish().map_err(shape_at(d.offset()))
+}
+
+/// The error of a footprint shape [`FootprintBuilder`] refused at `offset`.
+fn shape_at(offset: usize) -> impl FnOnce(&'static str) -> DecodeError {
+    move |expected| DecodeError { expected, offset }
 }
 
 /// Encodes a triage [`RedactedScore`].
@@ -930,13 +937,20 @@ mod tests {
 
     #[test]
     fn footprint_and_state_round_trip() {
-        let fp = QueryFootprint {
-            id: QueryId(3),
-            bases: [Ident::new("t"), Ident::new("u")].into(),
-            covered: [(Ident::new("t"), Ident::new("a"))].into(),
-            combos: vec![[(Ident::new("t"), [Tid(1), Tid(2)].into())].into()],
-            value_rows: vec![vec![((Ident::new("t"), Ident::new("a")), Value::Int(9))]],
-        };
+        // One combination holding two `t` tids and lacking `u`; one row.
+        let mut b = FootprintBuilder::new(
+            QueryId(3),
+            [Ident::new("t"), Ident::new("u")].into(),
+            [(Ident::new("t"), Ident::new("a"))].into(),
+        );
+        b.combination();
+        b.run(Ident::new("t"), &[Tid(1), Tid(2)]).unwrap();
+        b.row().unwrap();
+        b.cell((Ident::new("t"), Ident::new("a")), Value::Int(9)).unwrap();
+        let fp = b.finish().unwrap();
+        assert_eq!(fp.combination_count(), 1);
+        let runs: Vec<_> = fp.combination(0).collect();
+        assert_eq!(runs, [(&Ident::new("t"), &[Tid(1), Tid(2)][..])]);
         let st = AuditBatchState {
             touched: [0usize, 3].into(),
             covered: [(Ident::new("t"), Ident::new("a"))].into(),

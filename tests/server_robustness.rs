@@ -3,13 +3,15 @@
 //! over the connection cap are shed with a structured error, deterministic
 //! network faults (torn frames, mid-request disconnects, slow writers,
 //! garbage, oversized lines) leave the audit report byte-identical to a
-//! clean run, idle connections are reaped, and a graceful drain flushes
-//! subscriber queues before exit.
+//! clean run, idle connections are reaped, a graceful drain flushes
+//! subscriber queues before exit, and the blocking acceptor stops promptly
+//! on SIGTERM or `shutdown` without counting the connection that wakes it.
 
 use audex::service::Json;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
 use std::process::{Child, Command, Stdio};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// Spawns `audex serve --listen 127.0.0.1:0 [extra]` and returns the child
@@ -374,4 +376,59 @@ fn drain_flushes_subscriber_queues_before_exit() {
         }
     }
     assert!(events >= 6, "subscriber saw only {events} events after drain");
+}
+
+/// SIGTERM reaches a server that never accepted a connection: the acceptor
+/// sits in a blocking `accept`, so only the signal watcher can wake it.
+#[test]
+fn sigterm_stops_an_idle_server_promptly() {
+    let (mut server, _addr) = spawn_serve(&[]);
+    let started = Instant::now();
+    let pid = server.id().to_string();
+    let status = Command::new("kill").args(["-TERM", &pid]).status().expect("send SIGTERM");
+    assert!(status.success(), "kill -TERM failed");
+    let deadline = started + Duration::from_secs(2);
+    let status = loop {
+        if let Some(status) = server.try_wait().expect("poll server") {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = server.kill();
+            panic!("idle server still running 2 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    };
+    assert!(status.success(), "drain must exit 0, got {status}");
+}
+
+/// A `shutdown` request returns `Server::run` promptly, and the loopback
+/// connection that wakes the acceptor is neither counted nor shed.
+#[test]
+fn shutdown_returns_run_promptly_without_counting_the_wake() {
+    use audex::service::state::{ServiceConfig, ServiceCore};
+    use audex::service::Server;
+
+    let core = ServiceCore::new(audex::storage::Database::new(), ServiceConfig::default());
+    let registry = core.registry();
+    let server = Server::bind(core, "127.0.0.1:0").expect("bind");
+    let addr = server.local_addr().expect("local addr").to_string();
+    let (done, ran) = mpsc::channel();
+    std::thread::spawn(move || done.send(server.run()).expect("report run()"));
+
+    let mut conn = Conn::open(&addr);
+    let stats = conn.request(r#"{"cmd":"stats"}"#);
+    assert_eq!(stat(&stats, "connections_shed"), 0, "{stats}");
+    let resp = conn.request(r#"{"cmd":"shutdown"}"#);
+    assert_eq!(resp.get("ok"), Some(&Json::Bool(true)), "{resp}");
+    let ran = ran.recv_timeout(Duration::from_secs(2)).expect("run() returns within 2 s");
+    ran.expect("run() ends cleanly");
+
+    let page = registry.render_prometheus();
+    let series = |name: &str| -> u64 {
+        page.lines()
+            .find_map(|l| l.strip_prefix(name)?.strip_prefix(' ')?.parse().ok())
+            .unwrap_or_else(|| panic!("no {name} in\n{page}"))
+    };
+    assert_eq!(series("audex_service_connections_total"), 1, "the wake connection was counted");
+    assert_eq!(series("audex_service_connections_shed_total"), 0, "the wake connection was shed");
 }

@@ -209,7 +209,7 @@ fn main() {
             for ts in instants {
                 assert_eq!(
                     *db.at(ts).relation(&p).expect("historical read"),
-                    history.replay_to(ts).to_relation(),
+                    history.replay_to(ts),
                     "as_of diverged from the replay reference at history {n}, {ts}"
                 );
             }

@@ -41,10 +41,10 @@ fn bench(c: &mut Criterion) {
         }
 
         g.bench_with_input(BenchmarkId::new("replay_to_mid", updates), &updates, |b, _| {
-            b.iter(|| history.replay_to(mid).len())
+            b.iter(|| history.replay_to(mid).rows.len())
         });
         g.bench_with_input(BenchmarkId::new("replay_to_end", updates), &updates, |b, _| {
-            b.iter(|| history.replay_to(last).len())
+            b.iter(|| history.replay_to(last).rows.len())
         });
         g.bench_with_input(BenchmarkId::new("versions_in", updates), &updates, |b, _| {
             b.iter(|| db.versions_in(&[Ident::new(PATIENTS)], Timestamp(0), last).len())

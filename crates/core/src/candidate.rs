@@ -11,8 +11,9 @@
 //! it shares no base table with the audit, or its predicate conjoined with
 //! the audit's is unsatisfiable. Anything it cannot reason about
 //! (disjunctions, LIKE, arithmetic) is conservatively treated as
-//! satisfiable, and the classic column-overlap test lives in the stricter
-//! single-query variant (see [`CandidateChecker::is_candidate_single`]).
+//! satisfiable. The classic column-overlap test belongs to single-query
+//! auditing (Definition 3), where `notions::direct_semantic_single` applies
+//! it.
 //! Soundness — pruning never changes any audit report — is tested in the
 //! integration suite against full semantic evaluation.
 
@@ -22,7 +23,6 @@ use audex_storage::{Database, Value};
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
-use crate::attrspec::NormalizedSpec;
 use crate::catalog::AuditScope;
 use crate::error::AuditError;
 use crate::governor::{AuditPhase, Governor};
@@ -67,26 +67,19 @@ pub fn accessed_base_columns(q: &LoggedQuery, q_scope: &AuditScope) -> BTreeSet<
 /// The audit-side inputs to candidacy, precomputed once per audit.
 pub struct CandidateChecker {
     audit_bases: BTreeSet<Ident>,
-    relevant_columns: BTreeSet<BaseColumn>,
     audit_constraints: Vec<Constraint>,
 }
 
 impl CandidateChecker {
-    /// Precomputes the audit's base tables, relevant columns (the union of
-    /// all scheme columns), and normalized predicate constraints.
-    pub fn new(
-        audit_scope: &AuditScope,
-        spec: &NormalizedSpec,
-        audit_pred: Option<&Expr>,
-    ) -> Result<Self, AuditError> {
+    /// Precomputes the audit's base tables and normalized predicate
+    /// constraints.
+    pub fn new(audit_scope: &AuditScope, audit_pred: Option<&Expr>) -> Self {
         let audit_bases = audit_scope.bases().into_iter().collect();
-        let relevant_columns =
-            spec.all_columns().iter().filter_map(|c| audit_scope.base_of_column(c)).collect();
         let audit_constraints = match audit_pred {
             Some(p) => extract_constraints(p, audit_scope),
             None => Vec::new(),
         };
-        Ok(CandidateChecker { audit_bases, relevant_columns, audit_constraints })
+        CandidateChecker { audit_bases, audit_constraints }
     }
 
     /// Paper Definition 1, generalized to the granule model: `true` unless
@@ -95,10 +88,9 @@ impl CandidateChecker {
     /// Note that column overlap is deliberately *not* required here: under
     /// batch semantics (Definition 4) a query that accesses none of the
     /// audited columns can still join `Q'` by witnessing an indispensable
-    /// tuple, so pruning it would change granule counts. The stricter
-    /// [`CandidateChecker::is_candidate_single`] adds the classic
-    /// column-overlap test of Agrawal et al., which is sound when each
-    /// query is audited in isolation.
+    /// tuple, so pruning it would change granule counts. The classic
+    /// column-overlap test of Agrawal et al. is sound only when each query
+    /// is audited in isolation; `notions::direct_semantic_single` applies it.
     pub fn is_candidate(&self, q: &LoggedQuery, q_scope: &AuditScope) -> bool {
         // (1) Must share a base table with the audit.
         if !q_scope.entries().iter().any(|e| self.audit_bases.contains(&e.base)) {
@@ -142,21 +134,6 @@ impl CandidateChecker {
             }
         }
         Ok((candidates, pruned))
-    }
-
-    /// True when the query accesses at least one column some granule scheme
-    /// needs (`C_Q ∩ relevant ≠ ∅`).
-    pub fn accesses_relevant_column(&self, q: &LoggedQuery, q_scope: &AuditScope) -> bool {
-        !accessed_base_columns(q, q_scope).is_disjoint(&self.relevant_columns)
-    }
-
-    /// The single-query candidacy test (Agrawal et al.): additionally
-    /// requires column overlap. Sound for per-query (Definition 3) auditing
-    /// — a lone query covering no scheme column can never be suspicious by
-    /// itself — but NOT for batch granule counting (see
-    /// [`CandidateChecker::is_candidate`]).
-    pub fn is_candidate_single(&self, q: &LoggedQuery, q_scope: &AuditScope) -> bool {
-        self.is_candidate(q, q_scope) && self.accesses_relevant_column(q, q_scope)
     }
 }
 
@@ -378,7 +355,6 @@ fn tighten_hi(b: &mut Bounds, v: Value, strict: bool) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attrspec::normalize_with;
     use audex_log::AccessContext;
     use audex_log::QueryId;
     use audex_sql::ast::TypeName;
@@ -410,8 +386,7 @@ mod tests {
     fn checker(db: &Database, audit_sql: &str) -> (CandidateChecker, AuditScope) {
         let audit = parse_audit(audit_sql).unwrap();
         let scope = AuditScope::resolve(db, &audit.from).unwrap();
-        let spec = normalize_with(&audit.audit, &scope).unwrap();
-        let c = CandidateChecker::new(&scope, &spec, audit.selection.as_ref()).unwrap();
+        let c = CandidateChecker::new(&scope, audit.selection.as_ref());
         (c, scope)
     }
 
@@ -435,13 +410,6 @@ mod tests {
         c.is_candidate(&q, &qs)
     }
 
-    fn is_candidate_single(audit_sql: &str, query_sql: &str) -> bool {
-        let db = db();
-        let (c, _) = checker(&db, audit_sql);
-        let (q, qs) = logged(&db, query_sql);
-        c.is_candidate_single(&q, &qs)
-    }
-
     #[test]
     fn shares_no_table_not_candidate() {
         assert!(!is_candidate(
@@ -453,30 +421,12 @@ mod tests {
     #[test]
     fn column_overlap_only_required_in_single_mode() {
         // Batch candidacy keeps the query: it can witness a tuple for the
-        // batch even though it covers no audited column.
+        // batch even though it covers no audited column. (Single-query
+        // auditing prunes it, C_Q ⊉ C_A, in `notions::direct_semantic_single`.)
         assert!(is_candidate(
             "AUDIT disease FROM Patients",
             "SELECT age FROM Patients WHERE pid = 'p1'"
         ));
-        // Single-query candidacy prunes it (C_Q ⊉ C_A).
-        assert!(!is_candidate_single(
-            "AUDIT disease FROM Patients",
-            "SELECT age FROM Patients WHERE pid = 'p1'"
-        ));
-    }
-
-    #[test]
-    fn where_access_counts() {
-        // disease appears only in the query's WHERE — still an access (C_Q).
-        assert!(is_candidate_single(
-            "AUDIT disease FROM Patients",
-            "SELECT zipcode FROM Patients WHERE disease = 'cancer'"
-        ));
-    }
-
-    #[test]
-    fn wildcard_accesses_everything() {
-        assert!(is_candidate_single("AUDIT disease FROM Patients", "SELECT * FROM Patients"));
     }
 
     #[test]

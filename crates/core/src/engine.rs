@@ -440,11 +440,7 @@ impl<'a> AuditEngine<'a> {
         let mut phases = vec![AuditPhase::TargetView];
 
         // Static pruning (Definition 1).
-        let checker = CandidateChecker::new(
-            &prepared.scope,
-            &prepared.spec,
-            prepared.expr.selection.as_ref(),
-        )?;
+        let checker = CandidateChecker::new(&prepared.scope, prepared.expr.selection.as_ref());
         let span = self.obs.phase("candidate-filter");
         let (candidates, pruned) =
             match checker.partition(self.db, admitted, self.options.static_filter, governor) {

@@ -477,8 +477,9 @@ pub fn static_semantic_bound_governed(
     governor: &Governor,
 ) -> Result<StaticVerdict, AuditError> {
     let audit_scope = AuditScope::resolve(db, &audit.from)?;
-    let spec = normalize_with(&audit.audit, &audit_scope)?;
-    let checker = CandidateChecker::new(&audit_scope, &spec, audit.selection.as_ref())?;
+    // The audit list must still resolve against the schema.
+    normalize_with(&audit.audit, &audit_scope)?;
+    let checker = CandidateChecker::new(&audit_scope, audit.selection.as_ref());
     for q in batch {
         governor.tick(AuditPhase::StaticAnalysis)?;
         if let Ok(q_scope) = AuditScope::resolve(db, &q.query().from) {

@@ -436,7 +436,7 @@ pub fn get_version(d: &mut Dec<'_>) -> Result<Version, DecodeError> {
     let xmin = Timestamp(d.i64()?);
     let xmax = Timestamp(d.i64()?);
     let closed_by = get_opt_u32(d)?;
-    let row = get_row(d)?;
+    let row = get_row(d)?.into();
     Ok(Version { tid, xmin, xmax, closed_by, row })
 }
 

@@ -13,11 +13,13 @@
 //! *reference* implementation of the versioned reads: the database does not
 //! use it; tests compare the version store against it.
 
+use std::sync::Arc;
+
 use audex_sql::{Ident, Timestamp};
 
 use crate::error::StorageError;
 use crate::schema::Schema;
-use crate::table::{Row, Table, Tid};
+use crate::table::{Relation, Row, Tid};
 
 /// The kind of change recorded.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -58,7 +60,7 @@ pub struct TableHistory {
     created_at: Timestamp,
     changes: Vec<ChangeRecord>,
     /// `(change index exclusive, state after applying that many changes)`.
-    checkpoints: Vec<(usize, Table)>,
+    checkpoints: Vec<(usize, Relation)>,
 }
 
 impl TableHistory {
@@ -101,8 +103,7 @@ impl TableHistory {
             // only usable for instants >= its last change's timestamp, which
             // replay_to checks (equal timestamps may span the boundary).
             let upto = self.changes.len();
-            let state =
-                self.replay_range(Table::new(self.name.clone(), self.schema.clone()), 0, upto);
+            let state = self.replay_range(self.empty(), 0, upto);
             self.checkpoints.push((upto, state));
         }
         Ok(())
@@ -119,37 +120,44 @@ impl TableHistory {
     }
 
     /// Rebuilds the table state as of `ts` (inclusive): all changes with
-    /// `change.ts <= ts` are applied. Uses the newest usable checkpoint.
-    pub fn replay_to(&self, ts: Timestamp) -> Table {
+    /// `change.ts <= ts` are applied, rows in tid order. Uses the newest
+    /// usable checkpoint.
+    pub fn replay_to(&self, ts: Timestamp) -> Relation {
         // The replay boundary: first index whose change is after `ts`.
         let end = self.change_prefix_len(ts);
         // Newest checkpoint fully inside the boundary.
         let base = self.checkpoints.iter().rev().find(|(upto, _)| *upto <= end);
         let (start, table) = match base {
             Some((upto, state)) => (*upto, state.clone()),
-            None => (0, Table::new(self.name.clone(), self.schema.clone())),
+            None => (0, self.empty()),
         };
         self.replay_range(table, start, end)
     }
 
-    fn replay_range(&self, mut table: Table, start: usize, end: usize) -> Table {
+    fn empty(&self) -> Relation {
+        Relation { name: self.name.clone(), schema: self.schema.clone(), rows: Vec::new() }
+    }
+
+    /// Applies `changes[start..end]` to `table`, whose rows stay sorted by
+    /// tid (a binary search places each change).
+    fn replay_range(&self, mut table: Relation, start: usize, end: usize) -> Relation {
         // Records are internally consistent by construction (inserts and
         // updates always carry an after-image, and apply cleanly in order);
         // a corrupt record surfaces as a missing row, not a panic.
         for rec in &self.changes[start..end] {
-            match (&rec.op, &rec.after) {
-                (ChangeOp::Insert, Some(after)) => {
-                    let applied = table.insert_with_tid(rec.tid, after.clone());
-                    debug_assert!(applied.is_ok(), "backlog replay of insert");
+            let at = table.rows.binary_search_by_key(&rec.tid, |(t, _)| *t);
+            match (&rec.op, &rec.after, at) {
+                (ChangeOp::Insert, Some(after), Err(i)) => {
+                    table.rows.insert(i, (rec.tid, Arc::from(after.as_slice())));
                 }
-                (ChangeOp::Update, Some(after)) => {
-                    let applied = table.update(rec.tid, after.clone());
-                    debug_assert!(applied.is_ok(), "backlog replay of update");
+                (ChangeOp::Update, Some(after), Ok(i)) => {
+                    table.rows[i].1 = Arc::from(after.as_slice());
                 }
-                (ChangeOp::Delete, _) => {
-                    table.delete(rec.tid);
+                (ChangeOp::Delete, _, Ok(i)) => {
+                    table.rows.remove(i);
                 }
-                _ => debug_assert!(false, "insert/update record without after-image"),
+                (ChangeOp::Delete, _, Err(_)) => {}
+                _ => debug_assert!(false, "backlog replay of an inconsistent record"),
             }
         }
         table
@@ -169,8 +177,8 @@ impl TableHistory {
     /// (up to and including `ts`), carrying the *original* tid. This is the
     /// interpretation of \[12\]: an audit over `b-T` considers all versions.
     /// Exact duplicate `(tid, row)` versions are kept once.
-    pub fn backlog_relation(&self, ts: Timestamp) -> crate::table::Relation {
-        let mut rows: Vec<(Tid, Row)> = Vec::new();
+    pub fn backlog_relation(&self, ts: Timestamp) -> Relation {
+        let mut rows = Vec::new();
         let mut seen: std::collections::HashSet<(Tid, &Row)> = std::collections::HashSet::new();
         for rec in &self.changes {
             if rec.ts > ts {
@@ -178,11 +186,11 @@ impl TableHistory {
             }
             if let Some(after) = &rec.after {
                 if seen.insert((rec.tid, after)) {
-                    rows.push((rec.tid, after.clone()));
+                    rows.push((rec.tid, Arc::from(after.as_slice())));
                 }
             }
         }
-        crate::table::Relation {
+        Relation {
             name: Ident::new(format!("b-{}", self.name.value)),
             schema: self.schema.clone(),
             rows,
@@ -229,10 +237,10 @@ mod tests {
     #[test]
     fn replay_reconstructs_each_version() {
         let h = history();
-        assert!(h.replay_to(Timestamp(5)).is_empty());
+        assert!(h.replay_to(Timestamp(5)).rows.is_empty());
         assert_eq!(h.replay_to(Timestamp(10)).get(Tid(1)).unwrap()[1], Value::Str("120016".into()));
         assert_eq!(h.replay_to(Timestamp(25)).get(Tid(1)).unwrap()[1], Value::Str("145568".into()));
-        assert!(h.replay_to(Timestamp(30)).is_empty());
+        assert!(h.replay_to(Timestamp(30)).rows.is_empty());
     }
 
     #[test]
@@ -337,15 +345,11 @@ mod tests {
         ] {
             let fast = h.replay_to(Timestamp(probe));
             let slow = h.replay_range(
-                Table::new(h.name.clone(), h.schema.clone()),
+                h.empty(),
                 0,
                 h.changes.partition_point(|c| c.ts <= Timestamp(probe)),
             );
-            assert_eq!(
-                fast.iter().collect::<Vec<_>>(),
-                slow.iter().collect::<Vec<_>>(),
-                "divergence at ts {probe}"
-            );
+            assert_eq!(fast, slow, "divergence at ts {probe}");
         }
     }
 

@@ -555,20 +555,26 @@ mod tests {
                 ("zipcode", TypeName::Text),
             ]),
             rows: vec![
-                (Tid(11), vec!["p1".into(), "Jane".into(), Value::Int(25), "177893".into()]),
-                (Tid(12), vec!["p2".into(), "Reku".into(), Value::Int(35), "145568".into()]),
-                (Tid(13), vec!["p13".into(), "Robert".into(), Value::Int(29), "188888".into()]),
-                (Tid(14), vec!["p28".into(), "Lucy".into(), Value::Int(20), "145568".into()]),
+                (Tid(11), vec!["p1".into(), "Jane".into(), Value::Int(25), "177893".into()].into()),
+                (Tid(12), vec!["p2".into(), "Reku".into(), Value::Int(35), "145568".into()].into()),
+                (
+                    Tid(13),
+                    vec!["p13".into(), "Robert".into(), Value::Int(29), "188888".into()].into(),
+                ),
+                (
+                    Tid(14),
+                    vec!["p28".into(), "Lucy".into(), Value::Int(20), "145568".into()].into(),
+                ),
             ],
         };
         let health = Relation {
             name: Ident::new("P-Health"),
             schema: Schema::of(&[("pid", TypeName::Text), ("disease", TypeName::Text)]),
             rows: vec![
-                (Tid(21), vec!["p1".into(), "flu".into()]),
-                (Tid(22), vec!["p2".into(), "diabetic".into()]),
-                (Tid(23), vec!["p13".into(), "malaria".into()]),
-                (Tid(24), vec!["p28".into(), "diabetic".into()]),
+                (Tid(21), vec!["p1".into(), "flu".into()].into()),
+                (Tid(22), vec!["p2".into(), "diabetic".into()].into()),
+                (Tid(23), vec!["p13".into(), "malaria".into()].into()),
+                (Tid(24), vec!["p28".into(), "diabetic".into()].into()),
             ],
         };
         let mut m = BTreeMap::new();

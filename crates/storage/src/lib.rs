@@ -67,8 +67,8 @@ pub use exec::{
     execute_query, JoinStrategy, LineageEntry, LineageRow, RelationProvider, ResultSet,
 };
 pub use fault::{FaultPlan, IoAppendFault, IoFaultPlan, IoFaultState};
-pub use mvcc::{StoreStats, VersionStore, VisibilityScan};
+pub use mvcc::{LiveTable, StoreStats, VersionStore, VisibilityScan};
 pub use schema::Schema;
 pub use snapshot::{SnapshotKind, SnapshotStats};
-pub use table::{Relation, Row, Table, Tid};
+pub use table::{Relation, Row, Tid};
 pub use value::{Truth, Value};

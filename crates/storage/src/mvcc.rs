@@ -31,6 +31,16 @@
 //! [`crate::backlog::TableHistory`] stays as the reference the unit tests
 //! below and `tests/proptest_storage.rs` hold it byte-identical to.
 //!
+//! # One row image
+//!
+//! `Database` keeps no other copy of the rows either: a version's row is
+//! stored once, as an `Arc<[Value]>`, and never written after the version
+//! opens. Relations at any instant, the backlog relation, the live table
+//! ([`LiveTable`], the open versions) and clones of the store all share
+//! it, so a read copies one pointer per row. (`DatabaseAt::relation`
+//! copies the rows of a historical snapshot once before caching it; the
+//! comment there says why.)
+//!
 //! # Recovery forks
 //!
 //! Every version remembers which change opened it and which change closed
@@ -42,13 +52,15 @@
 //! they originally saw, without replaying changes one by one.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use audex_sql::{Ident, Timestamp};
 
 use crate::backlog::{ChangeOp, ChangeRecord};
 use crate::error::StorageError;
 use crate::schema::Schema;
-use crate::table::{Relation, Row, Table, Tid};
+use crate::table::{Relation, Row, Tid};
+use crate::value::Value;
 
 /// The open upper bound of a live version's validity interval.
 pub const XMAX_OPEN: Timestamp = Timestamp(i64::MAX);
@@ -66,8 +78,9 @@ pub struct Version {
     /// this version; `None` while live. Lets [`VersionStore::truncated`]
     /// re-open versions whose close lies past the cut.
     pub closed_by: Option<u32>,
-    /// The version's values, in schema order.
-    pub row: Row,
+    /// The version's values, in schema order. Immutable once stored: every
+    /// relation built from this version shares it.
+    pub row: Arc<[Value]>,
 }
 
 impl Version {
@@ -215,6 +228,7 @@ impl VersionStore {
 
     fn open_version(&mut self, tid: Tid, ts: Timestamp, row: Row) -> u32 {
         let idx = self.versions.len() as u32;
+        let row = Arc::from(row);
         self.versions.push(Version { tid, xmin: ts, xmax: XMAX_OPEN, closed_by: None, row });
         self.by_tid.entry(tid).or_default().push(idx);
         self.live += 1;
@@ -253,7 +267,7 @@ impl VersionStore {
 
     /// The tuple's visible row at `ts`, if any (the replay path's
     /// `replay_to(ts).get(tid)`).
-    pub fn row_as_of(&self, tid: Tid, ts: Timestamp) -> Option<&Row> {
+    pub fn row_as_of(&self, tid: Tid, ts: Timestamp) -> Option<&Arc<[Value]>> {
         let chain = self.by_tid.get(&tid)?;
         let candidate = self.visible_in_chain(chain, ts)?;
         Some(&self.versions[candidate as usize].row)
@@ -270,50 +284,38 @@ impl VersionStore {
 
     /// The table state as of `ts` as a scan-ready relation, with the
     /// visibility-scan effort it took. Rows come out tid-ordered, exactly
-    /// like `replay_to(ts).to_relation()`.
+    /// like `replay_to(ts)`, and share the stored row images.
     pub fn relation_as_of(&self, ts: Timestamp) -> (Relation, VisibilityScan) {
         let mut scan = VisibilityScan::default();
-        let mut rows: Vec<(Tid, Row)> = Vec::new();
+        let mut rows = Vec::with_capacity(self.by_tid.len());
         for (tid, chain) in &self.by_tid {
             scan.probes += 1;
             scan.versions_examined += (chain.len().max(1)).ilog2() as u64 + 1;
             if let Some(idx) = self.visible_in_chain(chain, ts) {
-                rows.push((*tid, self.versions[idx as usize].row.clone()));
+                rows.push((*tid, Arc::clone(&self.versions[idx as usize].row)));
             }
         }
         let rel = Relation { name: self.name.clone(), schema: self.schema.clone(), rows };
         (rel, scan)
     }
 
-    /// The table state as of `ts` as a [`Table`], with the exact `next_tid`
-    /// the mutation path would have: one past the highest tid ever opened
-    /// (deletes do not give tids back).
-    pub fn table_as_of(&self, ts: Timestamp) -> Table {
-        let mut table = Table::new(self.name.clone(), self.schema.clone());
-        for (tid, chain) in &self.by_tid {
-            if let Some(idx) = self.visible_in_chain(chain, ts) {
-                let inserted = table.insert_with_tid(*tid, self.versions[idx as usize].row.clone());
-                debug_assert!(inserted.is_ok(), "stored versions re-validate");
-            }
-        }
-        if let Some((max_tid, _)) = self.by_tid.iter().next_back() {
-            table.reserve_tids(max_tid.0 + 1);
-        }
-        table
+    /// The live table: this store's open versions.
+    pub fn live(&self) -> LiveTable<'_> {
+        LiveTable { store: self }
     }
 
     /// The backlog relation `b-T` at `ts`: every after-image in original
     /// change order, exact `(tid, row)` duplicates kept once — visibility
     /// (`xmax`) deliberately ignored, superseded images included.
     pub fn backlog_relation(&self, ts: Timestamp) -> Relation {
-        let mut rows: Vec<(Tid, Row)> = Vec::new();
-        let mut seen: std::collections::HashSet<(Tid, &Row)> = std::collections::HashSet::new();
+        let mut rows = Vec::new();
+        let mut seen: std::collections::HashSet<(Tid, &[Value])> = std::collections::HashSet::new();
         for v in &self.versions {
             if v.xmin > ts {
                 break;
             }
-            if seen.insert((v.tid, &v.row)) {
-                rows.push((v.tid, v.row.clone()));
+            if seen.insert((v.tid, &*v.row)) {
+                rows.push((v.tid, Arc::clone(&v.row)));
             }
         }
         Relation {
@@ -332,14 +334,14 @@ impl VersionStore {
                 ts: m.ts,
                 op: m.op,
                 tid: m.tid,
-                after: m.opened.map(|i| self.versions[i as usize].row.clone()),
+                after: m.opened.map(|i| self.versions[i as usize].row.to_vec()),
             })
             .collect()
     }
 
     /// Live/dead/size numbers for observability surfaces.
     pub fn stats(&self) -> StoreStats {
-        let row_bytes = |r: &Row| r.iter().map(|v| v.approx_bytes()).sum::<usize>();
+        let row_bytes = |r: &[Value]| r.iter().map(|v| v.approx_bytes()).sum::<usize>();
         let bytes = self.versions.iter().map(|v| 48 + row_bytes(&v.row)).sum::<usize>()
             + self.meta.len() * std::mem::size_of::<ChangeMeta>()
             + self.by_tid.len() * 32;
@@ -403,6 +405,54 @@ impl VersionStore {
             }
         }
         VersionStore { name, schema, created_at, versions, meta, by_tid, live }
+    }
+}
+
+/// The live table: a borrowed view of one store's open versions (`xmax`
+/// unbounded), in tid order. The database keeps no other copy of its
+/// current rows; schema lookups, DML planning and exporters read this.
+#[derive(Debug, Clone, Copy)]
+pub struct LiveTable<'a> {
+    store: &'a VersionStore,
+}
+
+impl<'a> LiveTable<'a> {
+    /// The table schema.
+    pub fn schema(&self) -> &'a Schema {
+        &self.store.schema
+    }
+
+    /// Number of live rows.
+    pub fn len(&self) -> usize {
+        self.store.live as usize
+    }
+
+    /// True when the table has no live rows.
+    pub fn is_empty(&self) -> bool {
+        self.store.live == 0
+    }
+
+    /// The live row under `tid`: the newest version of its chain, if that
+    /// one is still open.
+    pub fn get(&self, tid: Tid) -> Option<&'a Arc<[Value]>> {
+        let newest = *self.store.by_tid.get(&tid)?.last()?;
+        let v = &self.store.versions[newest as usize];
+        (v.xmax == XMAX_OPEN).then_some(&v.row)
+    }
+
+    /// Iterates the live `(tid, row)` pairs in tid order.
+    pub fn iter(&self) -> impl Iterator<Item = (Tid, &'a Arc<[Value]>)> + 'a {
+        let store = self.store;
+        store.by_tid.iter().filter_map(move |(tid, chain)| {
+            let v = &store.versions[*chain.last()? as usize];
+            (v.xmax == XMAX_OPEN).then_some((*tid, &v.row))
+        })
+    }
+
+    /// The tid an auto-numbered insert takes: one past the highest tid
+    /// ever opened (deletes do not give tids back).
+    pub fn next_tid(&self) -> Tid {
+        Tid(self.store.by_tid.keys().next_back().map_or(1, |t| t.0 + 1))
     }
 }
 
@@ -511,7 +561,7 @@ mod tests {
         for probe in [-1i64, 0, 1, 2, 3, 50, 100, 165, 166, 167, 1000] {
             let ts = Timestamp(probe);
             let (rel, _) = s.relation_as_of(ts);
-            assert_eq!(rel, h.replay_to(ts).to_relation(), "as_of divergence at {probe}");
+            assert_eq!(rel, h.replay_to(ts), "as_of divergence at {probe}");
             assert_eq!(
                 s.backlog_relation(ts),
                 h.backlog_relation(ts),
@@ -534,16 +584,20 @@ mod tests {
     }
 
     #[test]
-    fn table_as_of_preserves_next_tid_past_deletes() {
+    fn live_table_next_tid_skips_deleted_tids() {
         let mut s =
             VersionStore::new(Ident::new("t"), Schema::of(&[("a", TypeName::Int)]), Timestamp(0));
+        assert_eq!(s.live().next_tid(), Tid(1));
         s.record(rec(1, ChangeOp::Insert, 1, Some(vec![Value::Int(1)]))).unwrap();
         s.record(rec(2, ChangeOp::Insert, 7, Some(vec![Value::Int(7)]))).unwrap();
         s.record(rec(3, ChangeOp::Delete, 7, None)).unwrap();
-        let t = s.table_as_of(Timestamp(10));
+        let t = s.live();
         assert_eq!(t.len(), 1);
-        let mut t = t;
-        assert_eq!(t.insert(vec![Value::Int(9)]).unwrap(), Tid(8), "tid 8 comes after deleted 7");
+        assert!(t.get(Tid(7)).is_none(), "deleted");
+        assert_eq!(t.iter().map(|(tid, _)| tid).collect::<Vec<_>>(), vec![Tid(1)]);
+        assert_eq!(t.next_tid(), Tid(8), "tid 8 comes after deleted 7");
+        // A truncated store keeps the watermark of its own prefix.
+        assert_eq!(s.truncated(1).live().next_tid(), Tid(2));
     }
 
     #[test]

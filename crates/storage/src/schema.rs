@@ -4,6 +4,7 @@ use audex_sql::ast::TypeName;
 use audex_sql::Ident;
 
 use crate::error::StorageError;
+use crate::table::Row;
 use crate::value::Value;
 
 /// Schema of one relation: an ordered list of typed columns.
@@ -94,6 +95,21 @@ impl Schema {
             (TypeName::Timestamp, Value::Int(v)) => Value::Ts(audex_sql::Timestamp(v)),
             (_, v) => v,
         }
+    }
+
+    /// Validates a row for storage: the arity, then every value's type,
+    /// each accepted value canonicalized.
+    pub fn check_row(&self, row: Row) -> Result<Row, StorageError> {
+        if row.len() != self.len() {
+            return Err(StorageError::ArityMismatch { expected: self.len(), actual: row.len() });
+        }
+        row.into_iter()
+            .enumerate()
+            .map(|(i, v)| {
+                self.check_value(i, &v)?;
+                Ok(self.canonicalize(i, v))
+            })
+            .collect()
     }
 }
 

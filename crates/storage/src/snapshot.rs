@@ -1,8 +1,8 @@
 //! Version-snapshot caching for the [`crate::database::DatabaseAt`] read
 //! path.
 //!
-//! Every versioned read — a historical visibility scan, a live table scan,
-//! or a backlog relation `b-T` — flows through the single
+//! Every versioned read — a table's visibility scan at any instant, live
+//! or historical, or a backlog relation `b-T` — flows through the single
 //! `DatabaseAt::relation` choke point. The audit engine hits that choke
 //! point once per logged query per referenced table, and most of those
 //! reads resolve to the *same* reconstructed state: a `DATA-INTERVAL`
@@ -26,8 +26,9 @@
 //! * distinct timestamps that select the same version (`ts = 15` and
 //!   `ts = 17` with changes at 10 and 20) share one entry — the
 //!   identical-timestamp replay dedup the audit loop needs, and
-//! * a live read (`ts >= last_ts`) shares its entry with historical reads
-//!   at or past the final change, since both see the full prefix.
+//! * a live read (`ts >= last_ts`) is the same visibility scan as a
+//!   historical read at or past the final change, under the same
+//!   full-prefix key.
 //!
 //! # Fault-plan interaction
 //!
@@ -177,7 +178,7 @@ mod tests {
             name: Ident::new("t"),
             schema: Schema::of(&[("a", TypeName::Int)]),
             rows: (0..n)
-                .map(|i| (crate::table::Tid(i as u64), vec![crate::value::Value::Int(i as i64)]))
+                .map(|i| (crate::table::Tid(i as u64), [crate::value::Value::Int(i as i64)].into()))
                 .collect(),
         }
     }

@@ -1,10 +1,9 @@
-//! Tables, rows, and tuple identifiers.
+//! Tuple identifiers, rows, and the relations the executor scans.
 
 use audex_sql::Ident;
-use std::collections::BTreeMap;
 use std::fmt;
+use std::sync::Arc;
 
-use crate::error::StorageError;
 use crate::schema::Schema;
 use crate::value::Value;
 
@@ -24,141 +23,44 @@ impl fmt::Display for Tid {
 /// One tuple: values in schema order.
 pub type Row = Vec<Value>;
 
-/// A stored table: schema plus rows keyed by tid.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Table {
-    name: Ident,
-    schema: Schema,
-    rows: BTreeMap<Tid, Row>,
-    next_tid: u64,
-}
-
-impl Table {
-    /// Creates an empty table.
-    pub fn new(name: Ident, schema: Schema) -> Self {
-        Table { name, schema, rows: BTreeMap::new(), next_tid: 1 }
-    }
-
-    /// The table name.
-    pub fn name(&self) -> &Ident {
-        &self.name
-    }
-
-    /// The schema.
-    pub fn schema(&self) -> &Schema {
-        &self.schema
-    }
-
-    /// Number of live rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// True when the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// Inserts with an auto-assigned tid; validates arity and types.
-    pub fn insert(&mut self, row: Row) -> Result<Tid, StorageError> {
-        let tid = Tid(self.next_tid);
-        self.insert_with_tid(tid, row)?;
-        Ok(tid)
-    }
-
-    /// Inserts with an explicit tid (used by fixtures reproducing the
-    /// paper's `t11`-style ids, and by backlog replay).
-    pub fn insert_with_tid(&mut self, tid: Tid, row: Row) -> Result<(), StorageError> {
-        if self.rows.contains_key(&tid) {
-            return Err(StorageError::DuplicateTid(tid));
-        }
-        let row = self.validate(row)?;
-        self.rows.insert(tid, row);
-        self.next_tid = self.next_tid.max(tid.0 + 1);
-        Ok(())
-    }
-
-    /// Replaces the row stored under an existing tid.
-    pub fn update(&mut self, tid: Tid, row: Row) -> Result<(), StorageError> {
-        if !self.rows.contains_key(&tid) {
-            return Err(StorageError::DuplicateTid(tid)); // reused as "no such tid"
-        }
-        let row = self.validate(row)?;
-        self.rows.insert(tid, row);
-        Ok(())
-    }
-
-    /// Removes a row; returns it if present.
-    pub fn delete(&mut self, tid: Tid) -> Option<Row> {
-        self.rows.remove(&tid)
-    }
-
-    /// The row stored under `tid`.
-    pub fn get(&self, tid: Tid) -> Option<&Row> {
-        self.rows.get(&tid)
-    }
-
-    /// Iterates `(tid, row)` pairs in tid order.
-    pub fn iter(&self) -> impl Iterator<Item = (Tid, &Row)> {
-        self.rows.iter().map(|(t, r)| (*t, r))
-    }
-
-    /// Raises the auto-tid watermark to at least `next`: a reconstruction
-    /// (e.g. from a version store) must not re-issue tids that belonged to
-    /// since-deleted rows, or it would diverge from the original run.
-    pub fn reserve_tids(&mut self, next: u64) {
-        self.next_tid = self.next_tid.max(next);
-    }
-
-    fn validate(&self, row: Row) -> Result<Row, StorageError> {
-        if row.len() != self.schema.len() {
-            return Err(StorageError::ArityMismatch {
-                expected: self.schema.len(),
-                actual: row.len(),
-            });
-        }
-        row.into_iter()
-            .enumerate()
-            .map(|(i, v)| {
-                self.schema.check_value(i, &v)?;
-                Ok(self.schema.canonicalize(i, v))
-            })
-            .collect()
-    }
-
-    /// A scan-ready view of this table.
-    pub fn to_relation(&self) -> Relation {
-        Relation {
-            name: self.name.clone(),
-            schema: self.schema.clone(),
-            rows: self.iter().map(|(t, r)| (t, r.clone())).collect(),
-        }
-    }
-}
-
-/// A materialized relation fed to the executor. Unlike [`Table`], tids may
-/// repeat (the backlog relation `b-T` contains several versions of the same
-/// tuple, all carrying the original tid).
+/// A relation fed to the executor: a table's state at one instant, or a
+/// backlog relation `b-T`, whose tids repeat (it holds several versions of
+/// the same tuple, all carrying the original tid). Rows share the version
+/// store's row images, so building a relation copies pointers, not values
+/// (a cached historical snapshot is the one copy; see `DatabaseAt`).
 #[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     /// Relation name (for diagnostics).
     pub name: Ident,
     /// Column layout.
     pub schema: Schema,
-    /// `(tid, row)` pairs.
-    pub rows: Vec<(Tid, Row)>,
+    /// `(tid, row image)` pairs.
+    pub rows: Vec<(Tid, Arc<[Value]>)>,
+}
+
+impl Relation {
+    /// The first row carrying `tid` (the only one in a table state).
+    pub fn get(&self, tid: Tid) -> Option<&Arc<[Value]>> {
+        self.rows.iter().find(|(t, _)| *t == tid).map(|(_, row)| row)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::database::Database;
     use audex_sql::ast::TypeName;
+    use audex_sql::Timestamp;
 
-    fn table() -> Table {
-        Table::new(
-            Ident::new("P-Personal"),
-            Schema::of(&[("pid", TypeName::Text), ("age", TypeName::Int)]),
-        )
+    fn name() -> Ident {
+        Ident::new("P-Personal")
+    }
+
+    fn table() -> Database {
+        let mut db = Database::new();
+        let schema = Schema::of(&[("pid", TypeName::Text), ("age", TypeName::Int)]);
+        db.create_table(name(), schema, Timestamp(0)).unwrap();
+        db
     }
 
     #[test]
@@ -169,47 +71,52 @@ mod tests {
     #[test]
     fn auto_tids_are_sequential_and_skip_explicit() {
         let mut t = table();
-        let t1 = t.insert(vec!["p1".into(), Value::Int(25)]).unwrap();
+        let t1 = t.insert(&name(), vec!["p1".into(), Value::Int(25)], Timestamp(1)).unwrap();
         assert_eq!(t1, Tid(1));
-        t.insert_with_tid(Tid(10), vec!["p2".into(), Value::Int(30)]).unwrap();
-        let t11 = t.insert(vec!["p3".into(), Value::Int(40)]).unwrap();
+        t.insert_with_tid(&name(), Tid(10), vec!["p2".into(), Value::Int(30)], Timestamp(1))
+            .unwrap();
+        let t11 = t.insert(&name(), vec!["p3".into(), Value::Int(40)], Timestamp(1)).unwrap();
         assert_eq!(t11, Tid(11));
     }
 
     #[test]
     fn duplicate_tid_rejected() {
         let mut t = table();
-        t.insert_with_tid(Tid(5), vec!["p".into(), Value::Int(1)]).unwrap();
-        assert!(t.insert_with_tid(Tid(5), vec!["q".into(), Value::Int(2)]).is_err());
+        t.insert_with_tid(&name(), Tid(5), vec!["p".into(), Value::Int(1)], Timestamp(1)).unwrap();
+        let again =
+            t.insert_with_tid(&name(), Tid(5), vec!["q".into(), Value::Int(2)], Timestamp(1));
+        assert!(again.is_err());
     }
 
     #[test]
     fn arity_and_type_validation() {
         let mut t = table();
-        assert!(t.insert(vec!["p1".into()]).is_err());
-        assert!(t.insert(vec![Value::Int(3), Value::Int(25)]).is_err());
-        assert!(t.insert(vec!["p1".into(), Value::Null]).is_ok());
+        assert!(t.insert(&name(), vec!["p1".into()], Timestamp(1)).is_err());
+        assert!(t.insert(&name(), vec![Value::Int(3), Value::Int(25)], Timestamp(1)).is_err());
+        assert!(t.insert(&name(), vec!["p1".into(), Value::Null], Timestamp(1)).is_ok());
     }
 
     #[test]
     fn update_and_delete() {
         let mut t = table();
-        let tid = t.insert(vec!["p1".into(), Value::Int(25)]).unwrap();
-        t.update(tid, vec!["p1".into(), Value::Int(26)]).unwrap();
-        assert_eq!(t.get(tid).unwrap()[1], Value::Int(26));
-        assert!(t.update(Tid(99), vec!["x".into(), Value::Int(0)]).is_err());
-        assert!(t.delete(tid).is_some());
-        assert!(t.delete(tid).is_none());
-        assert!(t.is_empty());
+        let tid = t.insert(&name(), vec!["p1".into(), Value::Int(25)], Timestamp(1)).unwrap();
+        t.update_row(&name(), tid, vec!["p1".into(), Value::Int(26)], Timestamp(2)).unwrap();
+        assert_eq!(t.table(&name()).unwrap().get(tid).unwrap()[1], Value::Int(26));
+        let missing = t.update_row(&name(), Tid(99), vec!["x".into(), Value::Int(0)], Timestamp(2));
+        assert!(missing.is_err());
+        assert!(t.delete_row(&name(), tid, Timestamp(3)).is_ok());
+        assert!(t.delete_row(&name(), tid, Timestamp(3)).is_err());
+        assert!(t.table(&name()).unwrap().is_empty());
     }
 
     #[test]
     fn relation_snapshot_is_decoupled() {
+        use crate::exec::RelationProvider;
         let mut t = table();
-        t.insert(vec!["p1".into(), Value::Int(25)]).unwrap();
-        let r = t.to_relation();
-        t.insert(vec!["p2".into(), Value::Int(30)]).unwrap();
+        t.insert(&name(), vec!["p1".into(), Value::Int(25)], Timestamp(1)).unwrap();
+        let r = t.at(Timestamp(1)).relation(&name()).unwrap();
+        t.insert(&name(), vec!["p2".into(), Value::Int(30)], Timestamp(1)).unwrap();
         assert_eq!(r.rows.len(), 1);
-        assert_eq!(t.len(), 2);
+        assert_eq!(t.table(&name()).unwrap().len(), 2);
     }
 }

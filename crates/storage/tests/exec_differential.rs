@@ -119,7 +119,7 @@ fn reference(
                     continue 'rows;
                 }
             }
-            filtered.push((*tid, row.clone()));
+            filtered.push((*tid, row.to_vec()));
         }
 
         let mut edges = Vec::new();
@@ -466,7 +466,10 @@ fn swap_case(left_rows: usize, right_rows: usize) {
         let rows = (0..n)
             .map(|i| {
                 let key = if n < 8 { [5, 2, 5][i % 3] } else { i % 8 };
-                (Tid(i as u64 + 1), vec![Value::Str(format!("k{key}")), Value::Int(i as i64)])
+                (
+                    Tid(i as u64 + 1),
+                    vec![Value::Str(format!("k{key}")), Value::Int(i as i64)].into(),
+                )
             })
             .collect();
         let schema = Schema::of(&[("k", TypeName::Text), ("v", TypeName::Int)]);

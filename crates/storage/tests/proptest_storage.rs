@@ -41,7 +41,7 @@ fn op_strategy() -> impl Strategy<Value = Op> {
     (0usize..2, 0i64..3, kind).prop_map(|(table, gap, kind)| Op { table, gap, kind })
 }
 
-type Snapshot = Vec<(Tid, Vec<Value>)>;
+type Snapshot = Vec<(Tid, Arc<[Value]>)>;
 
 fn schema() -> Schema {
     Schema::of(&[("k", TypeName::Text), ("amount", TypeName::Int)])
@@ -93,7 +93,7 @@ fn run_ops(ops: &[Op]) -> Run {
             }
             OpKind::Update { tid, amount } => {
                 let tid = Tid(*tid as u64);
-                if let Some(mut row) = db.table(&t).unwrap().get(tid).cloned() {
+                if let Some(mut row) = db.table(&t).unwrap().get(tid).map(|r| r.to_vec()) {
                     row[1] = Value::Int(*amount);
                     db.update_row(&t, tid, row, ts).unwrap();
                 }
@@ -130,7 +130,7 @@ fn sweep_relations(
                 let (ident, expected) = if backlog {
                     (Ident::new(format!("b-{name}")), history.backlog_relation(ts))
                 } else {
-                    (Ident::new(name), history.replay_to(ts).to_relation())
+                    (Ident::new(name), history.replay_to(ts))
                 };
                 let got = run.db.at(ts).relation(&ident);
                 if faulted(name, backlog, ts) {

@@ -147,7 +147,7 @@ DURABILITY (--data-dir, the durable audit store):
 
 OPTIONS:
   --now          reference time for now() and clause defaults
-                 (default: latest database change)
+                 (default: latest database change or logged query)
   --csv          emit contributing queries as CSV instead of text
   --per-query    also evaluate each query in isolation (Definition 3)
   --no-static-filter   skip the static candidate analysis
@@ -398,7 +398,9 @@ fn cmd_audit(args: &[String]) -> Result<(), String> {
         let _span = tracer.span("parse");
         audex::parse_audit(&expr_text).map_err(|e| format!("audit expression: {e}"))?
     };
-    let now = now.unwrap_or_else(|| db.last_ts());
+    // Default: the later of the last data change and the last logged
+    // query, so `TO now()` reaches every query in the log.
+    let now = now.unwrap_or_else(|| log.last_ts().map_or(db.last_ts(), |l| l.max(db.last_ts())));
 
     let engine = AuditEngine::with_options(
         &db,

@@ -340,7 +340,7 @@ fn key_predicate(
         Some(row) => {
             let conds: Vec<String> = schema
                 .iter()
-                .zip(&row)
+                .zip(row.iter())
                 .map(|((n, _), v)| match v {
                     audex_storage::Value::Null => format!("{n} IS NULL"),
                     other => format!("{n} = {}", render_value(other)),

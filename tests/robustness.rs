@@ -455,6 +455,31 @@ fn binary_reports_structured_errors_with_nonzero_exit() {
     std::fs::remove_file(log).ok();
 }
 
+/// Without `--now`, `now()` is the later of the last database change and
+/// the last logged query: a query logged after the data last changed is
+/// inside `DURING … TO now()`, exactly as with an explicit later `--now`.
+#[test]
+fn audit_now_defaults_to_the_last_logged_query() {
+    let db = write_fixture("now-db.sql", DB_SCRIPT);
+    let log = write_fixture(
+        "now-log.txt",
+        "@3/1/2008 user=u1 role=nurse purpose=treatment\n\
+         SELECT zipcode FROM Patients WHERE disease = 'cancer';\n",
+    );
+    let base = ["audit", "--db", db.to_str().unwrap(), "--log", log.to_str().unwrap()];
+    let expr = ["--expr", "DURING 1/1/2008 TO now() AUDIT disease FROM Patients"];
+    let reports = [&[][..], &["--now", "4/1/2008"]].map(|extra| {
+        let (status, stdout, stderr) = run_audex(&[&base[..], &expr, extra].concat());
+        assert!(status.success(), "{extra:?}: {stderr}");
+        assert!(stdout.contains("1 admitted"), "{extra:?}: {stdout}");
+        assert!(stdout.contains("SUSPICIOUS — 1/2"), "{extra:?}: {stdout}");
+        stdout
+    });
+    assert_eq!(reports[0], reports[1]);
+    std::fs::remove_file(db).ok();
+    std::fs::remove_file(log).ok();
+}
+
 /// The engine- and dispatch-selection flags and the worker-thread count are
 /// gone, not hidden: `serve` and `audit` refuse each by name.
 #[test]

@@ -27,16 +27,19 @@
 //!   block observability for the healthy ones. `audit --all-tenants`
 //!   runs one worker per shard, at most one per core, over
 //!   [`par_map`](audex_core::parallel::par_map); each worker holds
-//!   exactly one shard lock.
+//!   exactly one shard lock. Fleet recovery replays its stores over the
+//!   same `par_map`, before any shard is shared.
 //! * **Drain** (in [`crate::server`]): the only place that holds every
 //!   shard lock at once, acquired in `BTreeMap` (name) order.
 //!
 //! # Degraded tenants
 //!
-//! Fleet recovery ([`ShardMap::open`]) reopens every tenant directory;
-//! a tenant whose journal or replay fails is *skipped and reported* —
-//! it appears in `list-tenants` as `degraded` with the error, serves
-//! nothing, and can be dropped — instead of failing the whole fleet.
+//! Fleet recovery ([`ShardMap::open`]) opens every tenant's journal in
+//! order, the default's first (its failure alone is fatal), then replays
+//! them all at once; a named tenant whose journal or replay fails is
+//! *skipped and reported* — it appears in `list-tenants` as `degraded`
+//! with the error, serves nothing, and can be dropped — instead of
+//! failing the whole fleet.
 //!
 //! # Observability
 //!
@@ -50,14 +53,14 @@
 
 use std::collections::BTreeMap;
 use std::fmt;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError, RwLock, TryLockError};
 
 use audex_core::parallel::{default_parallelism, par_map};
 use audex_obs::Registry;
 use audex_persist::tenants as layout;
-use audex_persist::{Journal, Recovered, WalOptions};
+use audex_persist::{Journal, PersistError, Recovered, WalOptions};
 use audex_storage::Database;
 
 use crate::json::{obj, Json};
@@ -267,63 +270,69 @@ impl ShardMap {
     }
 
     /// Opens (and recovers) a durable fleet: the default tenant from the
-    /// data-dir root, then every discovered `tenants/<name>/` store. A
-    /// named tenant that fails to recover is left **degraded** — reported
-    /// in the returned [`FleetRecovery`] and by `list-tenants`, but it
-    /// does not fail the fleet. A failure on the *default* tenant is
-    /// fatal, exactly like the single-tenant serve path it replaces.
+    /// data-dir root and every discovered `tenants/<name>/` store. Journals
+    /// open in order, so a default failure is fatal (as in the single-tenant
+    /// serve path) before any named store or its torn tail is touched; then
+    /// the replays fan out, one worker per store up to the core count. A
+    /// named tenant that fails is left **degraded**, reported in the
+    /// [`FleetRecovery`] and by `list-tenants`, and the fleet still opens.
     pub fn open(cfg: &FleetConfig) -> Result<(ShardMap, FleetRecovery), String> {
         let id = TenantId::new(&cfg.default_tenant)?;
         let dir = &cfg.data_dir;
-        let (journal, mut recovered) = Journal::open(dir, cfg.wal)
-            .map_err(|e| format!("opening durable store {}: {e}", dir.display()))?;
-        let mut core = ServiceCore::recovered(&mut recovered, cfg.service)
-            .map_err(|e| format!("recovering service state from {}: {e}", dir.display()))?;
-        core.attach_journal(journal);
-        let map =
-            ShardMap::build(core, id, Some(Durability { data_dir: dir.clone(), wal: cfg.wal }));
-        let mut report = vec![TenantRecovery::summarize(&cfg.default_tenant, &recovered)];
-
         let discovered = layout::discover(dir)
             .map_err(|e| format!("enumerating {}/tenants: {e}", dir.display()))?;
+        // `par_map` lends its items: the uncontended lock hands each worker
+        // its own store's `Recovered` mutably.
+        let lend =
+            |(journal, recovered): (Arc<Journal>, Recovered)| (journal, Mutex::new(recovered));
+        let opened = Journal::open(dir, cfg.wal)
+            .map(lend)
+            .map_err(|e| format!("opening durable store {}: {e}", dir.display()))?;
+        let mut stores = vec![(cfg.default_tenant.clone(), dir.clone(), Ok(opened))];
         for (name, tenant_dir) in discovered {
-            if name == cfg.default_tenant {
-                // A directory shadowing the default tenant's name cannot
-                // be served (the default journals at the root); report it
-                // as degraded rather than silently keeping two stores.
-                let why = "shadows the default tenant (its store is the data-dir root)".to_string();
-                map.mark_degraded(&name, &why);
-                report.push(TenantRecovery::failed(&name, why));
-                continue;
-            }
-            match map.open_shard(&name, &tenant_dir) {
-                Ok(recovered) => report.push(TenantRecovery::summarize(&name, &recovered)),
+            let opened = if name == cfg.default_tenant {
+                // The default journals at the root: report a shadowing
+                // directory rather than silently keep two stores.
+                Err("shadows the default tenant (its store is the data-dir root)".to_string())
+            } else {
+                Journal::open(&tenant_dir, cfg.wal)
+                    .map(lend)
+                    .map_err(|e| format!("opening {}: {e}", tenant_dir.display()))
+            };
+            stores.push((name, tenant_dir, opened));
+        }
+        let mut replayed: Vec<Result<_, String>> =
+            par_map(default_parallelism(), &stores, |i, (name, dir, opened)| {
+                let (journal, recovered) = opened.as_ref().map_err(String::clone)?;
+                let mut recovered = recovered.lock().unwrap_or_else(PoisonError::into_inner);
+                let core =
+                    recover_store(journal, &mut recovered, cfg.service).map_err(|e| match i {
+                        0 => format!("recovering service state from {}: {e}", dir.display()),
+                        _ => format!("replaying {}: {e}", dir.display()),
+                    })?;
+                Ok((core, TenantRecovery::summarize(name, &recovered)))
+            });
+
+        let (core, summary) = replayed.remove(0)?;
+        let map =
+            ShardMap::build(core, id, Some(Durability { data_dir: dir.clone(), wal: cfg.wal }));
+        let mut report = vec![summary];
+        for ((name, ..), replay) in stores.iter().skip(1).zip(replayed) {
+            match replay {
+                Ok((mut core, summary)) => {
+                    core.set_front_registry(Arc::clone(&map.registry));
+                    // `discover` yields only valid names.
+                    let id = TenantId(name.clone());
+                    map.lock_shards_mut().insert(id.clone(), Shard::new(id, core));
+                    report.push(summary);
+                }
                 Err(why) => {
-                    map.mark_degraded(&name, &why);
-                    report.push(TenantRecovery::failed(&name, why));
+                    map.mark_degraded(name, &why);
+                    report.push(TenantRecovery::failed(name, why));
                 }
             }
         }
         Ok((map, FleetRecovery { tenants: report }))
-    }
-
-    /// Opens one named tenant's store, builds its core, and inserts the
-    /// shard. Takes the map write lock only for the insert (recovery can
-    /// be long; routing to other tenants keeps flowing).
-    fn open_shard(&self, name: &str, dir: &Path) -> Result<Recovered, String> {
-        let id = TenantId::new(name)?;
-        let wal = match &self.durability {
-            Some(d) => d.wal,
-            None => return Err("fleet has no data directory".into()),
-        };
-        let (journal, mut recovered) =
-            Journal::open(dir, wal).map_err(|e| format!("opening {}: {e}", dir.display()))?;
-        let mut core = ServiceCore::recovered(&mut recovered, self.config)
-            .map_err(|e| format!("replaying {}: {e}", dir.display()))?;
-        core.attach_journal(journal);
-        core.set_front_registry(Arc::clone(&self.registry));
-        self.lock_shards_mut().insert(id.clone(), Shard::new(id, core));
-        Ok(recovered)
     }
 
     fn lock_shards(&self) -> std::sync::RwLockReadGuard<'_, BTreeMap<TenantId, Arc<Shard>>> {
@@ -455,7 +464,7 @@ impl ShardMap {
                 "tenant {name:?} exists but is degraded; drop-tenant it first"
             ));
         }
-        let core = match &self.durability {
+        let mut core = match &self.durability {
             Some(d) => {
                 let dir = layout::tenant_dir(&d.data_dir, name);
                 let (journal, mut recovered) = match Journal::open(&dir, d.wal) {
@@ -467,16 +476,13 @@ impl ShardMap {
                         ))
                     }
                 };
-                let mut core = match ServiceCore::recovered(&mut recovered, self.config) {
+                match recover_store(&journal, &mut recovered, self.config) {
                     Ok(core) => core,
                     Err(e) => return protocol_error(format!("create-tenant {name:?}: {e}")),
-                };
-                core.attach_journal(journal);
-                core
+                }
             }
             None => ServiceCore::new(Database::new(), self.config),
         };
-        let mut core = core;
         core.set_front_registry(Arc::clone(&self.registry));
         shards.insert(id.clone(), Shard::new(id, core));
         obj([
@@ -737,6 +743,19 @@ impl ShardMap {
         }
         obj([("ok", Json::Bool(true)), ("stopping", Json::Bool(true))])
     }
+}
+
+/// Replays what [`Journal::open`] recovered from one store into a fresh
+/// core, then attaches the journal (after, so the replay is not journaled
+/// again): the one path every durable shard comes back through.
+fn recover_store(
+    journal: &Arc<Journal>,
+    recovered: &mut Recovered,
+    config: ServiceConfig,
+) -> Result<ServiceCore, PersistError> {
+    let mut core = ServiceCore::recovered(recovered, config)?;
+    core.attach_journal(Arc::clone(journal));
+    Ok(core)
 }
 
 /// Prefixes a per-shard response object with its tenant name, keeping

@@ -353,22 +353,34 @@ impl ReviewQueue {
     /// Every **open** item ranked by priority (descending), ties broken by
     /// ascending query id — a total, deterministic order.
     pub fn ranked(&self) -> Vec<(&TriageItem, f64)> {
-        let mut out: Vec<(&TriageItem, f64)> = self
-            .items
-            .values()
-            .filter(|i| i.state == ReviewState::Open)
-            .map(|i| (i, self.priority(i)))
-            .collect();
-        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.query.cmp(&b.0.query)));
+        let mut out = self.open_items();
+        out.sort_by(rank_order);
         out
     }
 
     /// One page of the ranked queue. `top` defaults to the auditor budget
     /// (or 10 with no budget configured); `offset` skips already-reviewed
-    /// pages.
+    /// pages. Only the first `offset + top` items in rank order are
+    /// selected and sorted, not the whole queue.
     pub fn page(&self, top: Option<u64>, offset: u64) -> Vec<(&TriageItem, f64)> {
         let top = top.or(self.budget).unwrap_or(10) as usize;
-        self.ranked().into_iter().skip(offset as usize).take(top).collect()
+        let mut out = self.open_items();
+        let end = (offset as usize).saturating_add(top);
+        if end < out.len() {
+            out.select_nth_unstable_by(end, rank_order);
+            out.truncate(end);
+        }
+        out.sort_unstable_by(rank_order);
+        out.into_iter().skip(offset as usize).collect()
+    }
+
+    /// Every open item with its priority, unordered.
+    fn open_items(&self) -> Vec<(&TriageItem, f64)> {
+        self.items
+            .values()
+            .filter(|i| i.state == ReviewState::Open)
+            .map(|i| (i, self.priority(i)))
+            .collect()
     }
 
     /// Mines the open items into recurring explanation templates: items
@@ -460,6 +472,12 @@ impl ReviewQueue {
     }
 }
 
+/// The queue's rank order: priority descending, ties by ascending query
+/// id. Total, since query ids are unique.
+fn rank_order(a: &(&TriageItem, f64), b: &(&TriageItem, f64)) -> std::cmp::Ordering {
+    b.1.total_cmp(&a.1).then(a.0.query.cmp(&b.0.query))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -506,6 +524,45 @@ mod tests {
             vec![QueryId(2), QueryId(1), QueryId(3)],
             "highest priority first, ties by ascending id"
         );
+    }
+
+    #[test]
+    fn page_is_a_window_of_the_ranking() {
+        // A fixed-seed LCG: priorities from a four-value set (so ties are
+        // common), a fifth of the items acked or dismissed.
+        let mut seed = 0x2545_f491_4f6c_dd1du64;
+        let mut next = |n: u64| {
+            seed = seed
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            (seed >> 33) % n
+        };
+        for _ in 0..200 {
+            let mut q = ReviewQueue::new(None);
+            for id in 0..next(40) {
+                let closeness = [0.25, 0.5, 0.75, 1.0][next(4) as usize];
+                observe(&mut q, id, "nurse", &item_rows(closeness, 0, ("Patients", "name")));
+                match next(10) {
+                    0 => q.set_state(QueryId(id), ReviewState::Acked),
+                    1 => q.set_state(QueryId(id), ReviewState::Dismissed),
+                    _ => true,
+                };
+            }
+            let ranked = q.ranked();
+            let ids =
+                |page: &[(&TriageItem, f64)]| page.iter().map(|(i, _)| i.query).collect::<Vec<_>>();
+            for (top, offset) in [(0, 0), (1, 0), (3, 2), (10, 0), (5, 30), (50, 0), (7, next(45))]
+            {
+                let want: Vec<_> =
+                    ranked.iter().skip(offset as usize).take(top as usize).cloned().collect();
+                assert_eq!(
+                    ids(&q.page(Some(top), offset)),
+                    ids(&want),
+                    "top {top} offset {offset}"
+                );
+            }
+            assert_eq!(ids(&q.page(None, 0)), ids(&ranked[..ranked.len().min(10)]));
+        }
     }
 
     #[test]

@@ -360,3 +360,139 @@ fn renamed_default_tenant_serves_unaddressed_requests() {
     serve.finish();
     std::fs::remove_dir_all(&dir).expect("cleanup");
 }
+
+/// Spawns `serve --stdio` with its stderr (the recovery report) written to
+/// `stderr_to` instead of discarded.
+fn spawn_logged(extra: &[&str], stderr_to: &std::path::Path) -> Serve {
+    let log = std::fs::File::create(stderr_to).expect("create stderr log");
+    let mut child = Command::new(env!("CARGO_BIN_EXE_audex"))
+        .args(["serve", "--stdio"])
+        .args(extra)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .stderr(log)
+        .spawn()
+        .expect("spawn audex serve --stdio");
+    let stdin = child.stdin.take().expect("child stdin");
+    let reader = BufReader::new(child.stdout.take().expect("child stdout"));
+    Serve { child, stdin, reader }
+}
+
+/// The oldest WAL segment of one store directory.
+fn first_segment(store: &std::path::Path) -> PathBuf {
+    let mut segments: Vec<PathBuf> = std::fs::read_dir(store)
+        .expect("read store dir")
+        .map(|e| e.expect("dir entry").path())
+        .filter(|p| {
+            let name = p.file_name().and_then(|n| n.to_str()).unwrap_or("");
+            name.starts_with("wal-") && name.ends_with(".log")
+        })
+        .collect();
+    segments.sort();
+    segments.into_iter().next().unwrap_or_else(|| panic!("no segment in {}", store.display()))
+}
+
+/// Makes a store one `Journal::open` refuses: garbage after the last frame
+/// of its oldest segment, which a later segment turns from a torn tail
+/// (repaired) into a corrupt non-final segment (refused).
+fn corrupt_store(store: &std::path::Path) {
+    let segment = first_segment(store);
+    let mut bytes = std::fs::read(&segment).expect("read segment");
+    bytes.extend_from_slice(&[0xff; 16]);
+    std::fs::write(&segment, bytes).expect("write corrupt segment");
+    std::fs::write(store.join(format!("wal-{:020}.log", 999_999)), b"").expect("later segment");
+}
+
+/// A fleet whose stores are not all sound recovers what it can: a named
+/// tenant `Journal::open` refuses and a `tenants/<default>/` directory that
+/// shadows the root store are both left degraded with their reasons, the
+/// healthy tenants answer byte-identically to before the restart, and the
+/// recovery report runs default first, then by name. A corrupt *root*
+/// store instead fails the whole start before any named store is touched:
+/// a named tenant's torn tail stays unrepaired, byte for byte.
+#[test]
+fn a_corrupt_tenant_store_degrades_alone() {
+    let dir = temp_dir("degraded");
+    let dir_arg = dir.to_str().expect("utf-8 temp path").to_string();
+    let tenants =
+        [("alpha", "145568", "flu"), ("bravo", "99901", "cancer"), ("charlie", "2020", "gout")];
+
+    let mut serve = Serve::spawn(&["--data-dir", &dir_arg, "--fsync", "always"]);
+    let mut before = Vec::new();
+    for (name, zip, disease) in tenants {
+        serve.request(&format!(r#"{{"cmd":"create-tenant","name":"{name}"}}"#));
+        let wl = workload(zip, disease);
+        for req in &wl[..4] {
+            serve.request(&with_tenant(req, name));
+        }
+        before.push(serve.request(&with_tenant(&wl[4], name)));
+    }
+    serve.request(r#"{"cmd":"shutdown"}"#);
+    serve.finish();
+
+    let named = dir.join("tenants");
+    corrupt_store(&named.join("bravo"));
+    std::fs::create_dir_all(named.join("default")).expect("shadowing directory");
+
+    let stderr_log = dir.with_extension("stderr");
+    let mut serve = spawn_logged(&["--data-dir", &dir_arg, "--fsync", "always"], &stderr_log);
+    let listing = serve.request(r#"{"cmd":"list-tenants"}"#);
+    let degraded = |name: &str, why: &str| {
+        let row = format!(r#"{{"tenant":"{name}","degraded":true,"error":""#);
+        let at = listing.find(&row).unwrap_or_else(|| panic!("{name} not degraded: {listing}"));
+        let reason = &listing[at + row.len()..];
+        let reason = &reason[..reason.find('"').expect("closed reason")];
+        assert!(reason.contains(why), "{name} degraded for {reason:?}, expected {why:?}");
+    };
+    degraded("bravo", "non-final segment");
+    degraded("default", "shadows the default tenant");
+    assert_eq!(listing.matches("\"degraded\":true").count(), 2, "{listing}");
+    for ((name, _, _), before) in tenants.iter().zip(&before) {
+        if *name == "bravo" {
+            continue;
+        }
+        let after = serve.request(&with_tenant(r#"{"cmd":"audit","name":"snoop"}"#, name));
+        assert_eq!(&after, before, "tenant {name} audit changed across the restart");
+    }
+    serve.request(r#"{"cmd":"shutdown"}"#);
+    serve.finish();
+
+    let report = std::fs::read_to_string(&stderr_log).expect("read stderr");
+    let recovery: Vec<&str> =
+        report.lines().filter(|l| l.starts_with(&format!("audex: {dir_arg}: "))).collect();
+    assert!(
+        recovery.first().is_some_and(|l| l.contains("WAL has") && !l.contains(" tenant ")),
+        "the default tenant's line must come first: {report}"
+    );
+    let order: Vec<&str> = recovery[1..]
+        .iter()
+        .map(|l| {
+            let rest =
+                l.split(" tenant ").nth(1).unwrap_or_else(|| panic!("not a tenant line: {l}"));
+            rest.split(':').next().expect("tenant name")
+        })
+        .collect();
+    assert_eq!(order, ["alpha", "bravo", "charlie", "default"], "{report}");
+    assert!(recovery[2].contains("bravo: DEGRADED (not serving): opening"), "{report}");
+
+    // A corrupt root store is fatal, and fails before any named store is
+    // opened: alpha's torn tail must still be there, unrepaired.
+    std::fs::remove_dir_all(named.join("default")).expect("drop shadowing directory");
+    corrupt_store(&dir);
+    let alpha = first_segment(&named.join("alpha"));
+    let mut torn = std::fs::read(&alpha).expect("read alpha segment");
+    torn.extend_from_slice(&[7, 0, 0, 0, 1]);
+    std::fs::write(&alpha, &torn).expect("tear alpha's tail");
+    let out = Command::new(env!("CARGO_BIN_EXE_audex"))
+        .args(["serve", "--stdio", "--data-dir", &dir_arg, "--fsync", "always"])
+        .stdin(Stdio::null())
+        .output()
+        .expect("run audex serve");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(!out.status.success(), "a corrupt root store must fail the start: {stderr}");
+    assert!(stderr.contains("opening durable store"), "{stderr}");
+    assert_eq!(std::fs::read(&alpha).expect("reread alpha"), torn, "alpha's torn tail was touched");
+
+    std::fs::remove_dir_all(&dir).expect("cleanup");
+    std::fs::remove_file(&stderr_log).expect("cleanup stderr log");
+}
